@@ -628,9 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="virtual seconds between checkpoints")
     p_traffic.add_argument("--ftl", action="store_true",
                            help="model the SSD's internals")
-    p_traffic.add_argument("--kernel", choices=KERNELS, default="wheel",
-                           help="event-queue implementation (default: wheel "
-                                "— built for open-loop timer volume)")
+    p_traffic.add_argument("--kernel", choices=KERNELS, default="heap",
+                           help="event-queue implementation (default: heap)")
     p_traffic.add_argument("--seed", type=int, default=20110612)
     _add_common(p_traffic)
     _add_db_flags(p_traffic)

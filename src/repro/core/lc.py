@@ -33,8 +33,7 @@ class LazyCleaningManager(SsdManagerBase):
     """LC: write-back caching of dirty evictions with a cleaner thread."""
 
     __slots__ = ("_cleaner_started", "_cleaner_wakeup", "_above_lambda",
-                 "_cleaning_frames", "_tm_cleaner_rounds",
-                 "_tm_cleaner_pages", "_tm_lambda_crossings")
+                 "_cleaning_frames")
 
     name = "LC"
 
@@ -53,13 +52,17 @@ class LazyCleaningManager(SsdManagerBase):
         #: not be re-seeded into it.
         self._cleaning_frames: Set[int] = set()
         registry = self.telemetry.registry
-        self._tm_cleaner_rounds = registry.counter(
-            "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran")
-        self._tm_cleaner_pages = registry.counter(
-            "lc_cleaner_pages_total", "Dirty SSD pages the LC cleaner wrote back")
-        self._tm_lambda_crossings = registry.counter(
+        stats = self.stats
+        registry.counter(
+            "lc_cleaner_rounds_total", "Group-clean batches the LC cleaner ran"
+        ).set_function(lambda: stats.cleaner_ios)
+        registry.counter(
+            "lc_cleaner_pages_total", "Dirty SSD pages the LC cleaner wrote back"
+        ).set_function(lambda: stats.cleaner_pages)
+        registry.counter(
             "lc_lambda_crossings_total",
-            "Upward crossings of the dirty-fraction threshold (lambda)")
+            "Upward crossings of the dirty-fraction threshold (lambda)"
+        ).set_function(lambda: stats.lambda_crossings)
 
     def _note_lambda(self) -> None:
         """Record crossings of λ (in either direction) as trace instants."""
@@ -69,7 +72,6 @@ class LazyCleaningManager(SsdManagerBase):
         self._above_lambda = above
         if above:
             self.stats.lambda_crossings += 1
-            self._tm_lambda_crossings.inc()
         if self._tracer.enabled:
             self._tracer.instant(
                 "lambda_crossed" if above else "lambda_recovered",
@@ -98,7 +100,6 @@ class LazyCleaningManager(SsdManagerBase):
                 self._maybe_wake_cleaner()
                 return
         self.stats.fallback_disk_writes += 1
-        self._tm_fallback.inc()
         yield from self.disk.write(frame.page_id, frame.version,
                                    sequential=False, ctx=EVICTION_CTX)
 
@@ -211,8 +212,6 @@ class LazyCleaningManager(SsdManagerBase):
                     and record.version == version):
                 self.table.set_dirty(record, False)
                 self.clean_heap.push(record)
-        self._tm_cleaner_rounds.inc()
-        self._tm_cleaner_pages.inc(len(group))
         if self._tracer.enabled:
             self._tracer.complete("clean_batch", round_started, self.env.now,
                                   "cleaner", "cleaner",

@@ -82,9 +82,7 @@ class LogStructuredManager(SsdManagerBase):
     __slots__ = ("_seg_pages", "_nseg", "_open", "_cold", "_free_segs",
                  "_seg_seq", "_next_seq", "_next_epoch", "_free_slots",
                  "_journal", "_batch", "_pending_batches", "_reclaim_busy",
-                 "_cleaner_started", "_cleaner_wakeup", "_dirty_wakeup",
-                 "_tm_batches", "_tm_batch_pages", "_tm_reclaims",
-                 "_tm_reclaim_flushes", "_tm_relocations", "_tm_replays")
+                 "_cleaner_started", "_cleaner_wakeup", "_dirty_wakeup")
 
     name = "LS"
 
@@ -124,22 +122,29 @@ class LogStructuredManager(SsdManagerBase):
         self._cleaner_wakeup: Optional[Event] = None
         self._dirty_wakeup: Optional[Event] = None
         registry = self.telemetry.registry
-        self._tm_batches = registry.counter(
-            "ls_batches_total", "Group-commit admission batches flushed")
-        self._tm_batch_pages = registry.counter(
-            "ls_batch_pages_total", "Pages admitted through LS batches")
-        self._tm_reclaims = registry.counter(
+        stats = self.stats
+        registry.counter(
+            "ls_batches_total", "Group-commit admission batches flushed"
+        ).set_function(lambda: stats.batches)
+        registry.counter(
+            "ls_batch_pages_total", "Pages admitted through LS batches"
+        ).set_function(lambda: stats.batch_pages)
+        registry.counter(
             "ls_reclaimed_segments_total",
-            "Log segments reclaimed (greedy victim selection)")
-        self._tm_reclaim_flushes = registry.counter(
+            "Log segments reclaimed (greedy victim selection)"
+        ).set_function(lambda: stats.cleaner_ios)
+        registry.counter(
             "ls_reclaim_dirty_flushes_total",
-            "Newest-copy pages flushed to disk during segment cleaning")
-        self._tm_relocations = registry.counter(
+            "Newest-copy pages flushed to disk during segment cleaning"
+        ).set_function(lambda: stats.cleaner_pages)
+        registry.counter(
             "ls_relocated_entries_total",
-            "Live entries re-appended to the log during segment cleaning")
-        self._tm_replays = registry.counter(
+            "Live entries re-appended to the log during segment cleaning"
+        ).set_function(lambda: stats.relocations)
+        registry.counter(
             "ls_replayed_entries_total",
-            "Log entries replayed into the mapping after a crash")
+            "Log entries replayed into the mapping after a crash"
+        ).set_function(lambda: stats.replayed_entries)
 
     @property
     def admission_fill_level(self) -> int:
@@ -212,10 +217,8 @@ class LogStructuredManager(SsdManagerBase):
             return False
         if self._throttled():
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             if existing is not None:
                 self.stats.throttle_preserved += 1
-                self._tm_throttle_preserved.inc()
             return False
         return (yield from self._append(page_id, version, dirty,
                                         rec_lsn))
@@ -270,8 +273,8 @@ class LogStructuredManager(SsdManagerBase):
             ok = yield from self._write_frame_runs(frames)
             if ok:
                 batch.ok = True
-                self._tm_batches.inc()
-                self._tm_batch_pages.inc(npages)
+                self.stats.batches += 1
+                self.stats.batch_pages += npages
                 if any(entry[2] for entry in batch.entries):
                     self._after_dirty_cached()
             else:
@@ -308,7 +311,6 @@ class LogStructuredManager(SsdManagerBase):
             self._next_epoch += 1
             frames.append(frame_no)
             self.stats.writes += 1
-            self._tm_writes.inc()
             if self._tracer.enabled:
                 self._tracer.instant("admit", "ssd", "ssd_manager",
                                      {"page": page_id, "dirty": dirty})
@@ -388,7 +390,6 @@ class LogStructuredManager(SsdManagerBase):
             if cached:
                 return
         self.stats.fallback_disk_writes += 1
-        self._tm_fallback.inc()
         yield from self.disk.write(frame.page_id, frame.version,
                                    sequential=False, ctx=EVICTION_CTX)
 
@@ -397,7 +398,6 @@ class LogStructuredManager(SsdManagerBase):
         record = self.table.lookup(page_id)
         if record is not None and record.occupied and record.valid:
             self.stats.invalidations += 1
-            self._tm_invalidations.inc()
             self.clean_heap.remove(record)
             self.dirty_heap.remove(record)
             self.table.invalidate_logical(record)
@@ -675,7 +675,6 @@ class LogStructuredManager(SsdManagerBase):
             if record.occupied:
                 if record.valid and frame_no not in relocating:
                     self.stats.evictions += 1
-                    self._tm_evictions.inc()
                     dropped += 1
                 self.clean_heap.remove(record)
                 self.dirty_heap.remove(record)
@@ -710,14 +709,11 @@ class LogStructuredManager(SsdManagerBase):
             ok = yield from self._write_frame_runs(new_frames)
             if ok:
                 relocated = len(survivors)
-                self._tm_relocations.inc(relocated)
+                self.stats.relocations += relocated
             else:
                 self._roll_back(new_frames)
         self.stats.cleaner_pages += flushed
         self.stats.cleaner_ios += 1
-        self._tm_reclaims.inc()
-        if flushed:
-            self._tm_reclaim_flushes.inc(flushed)
         if self._tracer.enabled:
             self._tracer.complete(
                 "log_reclaim", started, self.env.now, "cleaner", "cleaner",
@@ -882,7 +878,7 @@ class LogStructuredManager(SsdManagerBase):
                                rec_lsn=rec_lsn)
             replayed += 1
         if replayed:
-            self._tm_replays.inc(replayed)
+            self.stats.replayed_entries += replayed
             if self._tracer.enabled:
                 self._tracer.instant("ls_log_replay", "ssd", "ssd_manager",
                                      {"entries": replayed})

@@ -85,8 +85,8 @@ class SsdStats:
     """Cumulative SSD-manager counters.
 
     Hand-slotted for the same reason as :class:`TrimPlan`; the counter
-    set round-trips through :meth:`as_dict` (the sweep cache snapshots
-    and restores it with ``SsdStats(**...)``).
+    set round-trips through :meth:`as_dict` and :meth:`from_dict` (the
+    sweep cache snapshots and restores it).
     """
 
     __slots__ = (
@@ -106,37 +106,48 @@ class SsdStats:
         "throttle_preserved",  # copies kept through a declined admit
         "detach_redo_pages",  # dirty pages redone to disk at SSD death
         "heap_reseeds",       # LC dirty-heap reseeds (desync recovery)
+        "admission_writes",   # TAC: pages cached right after a disk read
+        "batches",            # LS: group-commit admission batches flushed
+        "batch_pages",        # LS: pages admitted through those batches
+        "relocations",        # LS: live entries re-appended by cleaning
+        "replayed_entries",   # LS: journal entries replayed after a crash
     )
 
-    def __init__(self, reads: int = 0, writes: int = 0,
-                 declined_throttle: int = 0, invalidations: int = 0,
-                 evictions: int = 0, fallback_disk_writes: int = 0,
-                 cleaner_pages: int = 0, cleaner_ios: int = 0,
-                 checkpoint_ssd_flushes: int = 0,
-                 missed_dirty_writes: int = 0, lambda_crossings: int = 0,
-                 io_retries: int = 0, io_failures: int = 0,
-                 throttle_preserved: int = 0, detach_redo_pages: int = 0,
-                 heap_reseeds: int = 0):
-        self.reads = reads
-        self.writes = writes
-        self.declined_throttle = declined_throttle
-        self.invalidations = invalidations
-        self.evictions = evictions
-        self.fallback_disk_writes = fallback_disk_writes
-        self.cleaner_pages = cleaner_pages
-        self.cleaner_ios = cleaner_ios
-        self.checkpoint_ssd_flushes = checkpoint_ssd_flushes
-        self.missed_dirty_writes = missed_dirty_writes
-        self.lambda_crossings = lambda_crossings
-        self.io_retries = io_retries
-        self.io_failures = io_failures
-        self.throttle_preserved = throttle_preserved
-        self.detach_redo_pages = detach_redo_pages
-        self.heap_reseeds = heap_reseeds
+    def __init__(self) -> None:
+        self.reads = 0
+        self.writes = 0
+        self.declined_throttle = 0
+        self.invalidations = 0
+        self.evictions = 0
+        self.fallback_disk_writes = 0
+        self.cleaner_pages = 0
+        self.cleaner_ios = 0
+        self.checkpoint_ssd_flushes = 0
+        self.missed_dirty_writes = 0
+        self.lambda_crossings = 0
+        self.io_retries = 0
+        self.io_failures = 0
+        self.throttle_preserved = 0
+        self.detach_redo_pages = 0
+        self.heap_reseeds = 0
+        self.admission_writes = 0
+        self.batches = 0
+        self.batch_pages = 0
+        self.relocations = 0
+        self.replayed_entries = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counter name → value, in slot order (snapshot format)."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, int]) -> "SsdStats":
+        """Rebuild counters from an :meth:`as_dict` snapshot."""
+        stats = cls()
+        for name in cls.__slots__:
+            if name in data:
+                setattr(stats, name, data[name])
+        return stats
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SsdStats):
@@ -158,9 +169,6 @@ class SsdManagerBase:
         "env", "device", "disk", "wal", "config", "admission", "table",
         "stats", "bp", "clean_heap", "dirty_heap", "detached",
         "_detach_started", "_detach_complete", "telemetry", "_tracer",
-        "_tm_reads", "_tm_writes", "_tm_invalidations", "_tm_declined",
-        "_tm_evictions", "_tm_fallback", "_tm_retries",
-        "_tm_throttle_preserved",
     )
 
     #: Name used in figures and reports; subclasses override.
@@ -195,26 +203,35 @@ class SsdManagerBase:
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_reads = registry.counter(
-            "ssd_mgr_reads_total", "Pages served from the SSD buffer pool")
-        self._tm_writes = registry.counter(
-            "ssd_mgr_writes_total", "Pages admitted (written) to the SSD")
-        self._tm_invalidations = registry.counter(
-            "ssd_mgr_invalidations_total", "SSD copies invalidated on dirty")
-        self._tm_declined = registry.counter(
+        stats = self.stats
+        registry.counter(
+            "ssd_mgr_reads_total", "Pages served from the SSD buffer pool"
+        ).set_function(lambda: stats.reads)
+        registry.counter(
+            "ssd_mgr_writes_total", "Pages admitted (written) to the SSD"
+        ).set_function(lambda: stats.writes)
+        registry.counter(
+            "ssd_mgr_invalidations_total", "SSD copies invalidated on dirty"
+        ).set_function(lambda: stats.invalidations)
+        registry.counter(
             "ssd_mgr_declined_throttle_total",
-            "Optional SSD I/Os skipped by throttle control (mu)")
-        self._tm_evictions = registry.counter(
-            "ssd_mgr_evictions_total", "SSD frames reclaimed by replacement")
-        self._tm_fallback = registry.counter(
+            "Optional SSD I/Os skipped by throttle control (mu)"
+        ).set_function(lambda: stats.declined_throttle)
+        registry.counter(
+            "ssd_mgr_evictions_total", "SSD frames reclaimed by replacement"
+        ).set_function(lambda: stats.evictions)
+        registry.counter(
             "ssd_mgr_fallback_disk_writes_total",
-            "Dirty evictions sent to disk instead of the SSD")
-        self._tm_retries = registry.counter(
+            "Dirty evictions sent to disk instead of the SSD"
+        ).set_function(lambda: stats.fallback_disk_writes)
+        registry.counter(
             "ssd_mgr_retries_total",
-            "SSD I/Os retried after transient failures")
-        self._tm_throttle_preserved = registry.counter(
+            "SSD I/Os retried after transient failures"
+        ).set_function(lambda: stats.io_retries)
+        registry.counter(
             "ssd_mgr_throttle_preserved_total",
-            "Existing SSD copies preserved through a declined admission")
+            "Existing SSD copies preserved through a declined admission"
+        ).set_function(lambda: stats.throttle_preserved)
         registry.gauge("ssd_used_frames", "Occupied SSD frames"
                        ).set_function(lambda: self.used_frames)
         registry.gauge("ssd_dirty_frames", "Dirty (newer-than-disk) SSD frames"
@@ -306,7 +323,6 @@ class SsdManagerBase:
                 return False
             except IoFault:
                 self.stats.io_retries += 1
-                self._tm_retries.inc()
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "io_retry", "fault", "faults",
@@ -365,7 +381,6 @@ class SsdManagerBase:
         newer = record.version > self.disk.disk_version(page_id)
         if self._throttled() and not newer:
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return None
         return (yield from self._read_record(record, ctx=ctx))
 
@@ -379,7 +394,6 @@ class SsdManagerBase:
     def _read_record(self, record: SsdRecord, ctx=None):
         version = record.version
         self.stats.reads += 1
-        self._tm_reads.inc()
         record.record_access(self.env.now)
         self._reheap(record)
         must = version > self.disk.disk_version(record.page_id)
@@ -426,10 +440,8 @@ class SsdManagerBase:
             # valid copy and then refusing to replace it would destroy
             # data the throttle was only meant to defer.
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             if existing is not None:
                 self.stats.throttle_preserved += 1
-                self._tm_throttle_preserved.inc()
             return False
         if existing is not None:
             self._drop_record(existing)
@@ -442,7 +454,6 @@ class SsdManagerBase:
                            rec_lsn=rec_lsn)
         self._reheap(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": dirty})
@@ -463,7 +474,6 @@ class SsdManagerBase:
         if victim is None:
             return None
         self.stats.evictions += 1
-        self._tm_evictions.inc()
         self.table.release(victim)
         taken = self.table.take_free()
         assert taken is not None
@@ -559,7 +569,6 @@ class SsdManagerBase:
         record = self.table.lookup(page_id)
         if record is not None and record.occupied:
             self.stats.invalidations += 1
-            self._tm_invalidations.inc()
             self._drop_record(record)
 
     # ------------------------------------------------------------------

@@ -39,8 +39,7 @@ class TemperatureAwareManager(SsdManagerBase):
     """TAC: temperature-aware second-level write-through cache."""
 
     __slots__ = ("temperatures", "temp_heap", "_saving_ms",
-                 "_saving_seq_ms", "_tm_admission_writes",
-                 "_tm_missed_dirty")
+                 "_saving_seq_ms")
 
     name = "TAC"
 
@@ -61,12 +60,15 @@ class TemperatureAwareManager(SsdManagerBase):
                       - self.device.service_time(probe_seq))
         self._saving_seq_ms = max(0.0, saving_seq * 1000.0)
         registry = self.telemetry.registry
-        self._tm_admission_writes = registry.counter(
+        stats = self.stats
+        registry.counter(
             "tac_admission_writes_total",
-            "Pages written to the SSD right after a disk read")
-        self._tm_missed_dirty = registry.counter(
+            "Pages written to the SSD right after a disk read"
+        ).set_function(lambda: stats.admission_writes)
+        registry.counter(
             "tac_missed_dirty_writes_total",
-            "Admission writes abandoned because the page was dirtied first")
+            "Admission writes abandoned because the page was dirtied first"
+        ).set_function(lambda: stats.missed_dirty_writes)
 
     # ------------------------------------------------------------------
     # Temperature bookkeeping
@@ -125,7 +127,6 @@ class TemperatureAwareManager(SsdManagerBase):
     def _write_after_read(self, frame: Frame):
         if frame.dirty or frame.io_busy is not None:
             self.stats.missed_dirty_writes += 1
-            self._tm_missed_dirty.inc()
             return
         if not self._admit(frame.page_id):
             return
@@ -138,7 +139,7 @@ class TemperatureAwareManager(SsdManagerBase):
         try:
             cached = yield from self._cache_tac(frame.page_id, frame.version)
             if cached:
-                self._tm_admission_writes.inc()
+                self.stats.admission_writes += 1
         finally:
             frame.io_busy = None
             frame.busy_reason = None
@@ -166,7 +167,6 @@ class TemperatureAwareManager(SsdManagerBase):
             return False
         if self._throttled():
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return False
         existing = self.table.lookup(page_id)
         if existing is not None:
@@ -180,14 +180,12 @@ class TemperatureAwareManager(SsdManagerBase):
             if victim is None:
                 return False
             self.stats.evictions += 1
-            self._tm_evictions.inc()
             self.table.release(victim)
             record = self.table.take_free()
         self.table.install(record, page_id, version, dirty=False,
                            now=self.env.now)
         self.temp_heap.push(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         if self._tracer.enabled:
             self._tracer.instant("admit", "ssd", "ssd_manager",
                                  {"page": page_id, "dirty": False})
@@ -226,7 +224,6 @@ class TemperatureAwareManager(SsdManagerBase):
             return
         if self._throttled():
             self.stats.declined_throttle += 1
-            self._tm_declined.inc()
             return
         if (not record.occupied or record.page_id != page_id
                 or record.valid):
@@ -236,7 +233,6 @@ class TemperatureAwareManager(SsdManagerBase):
         self.table.revalidate(record, version, self.env.now)
         self.temp_heap.push(record)
         self.stats.writes += 1
-        self._tm_writes.inc()
         ok = yield from self._ssd_write_frame(record.frame_no,
                                               ctx=EVICTION_CTX)
         if not ok:
@@ -255,7 +251,6 @@ class TemperatureAwareManager(SsdManagerBase):
         record = self.table.lookup(page_id)
         if record is not None and record.valid:
             self.stats.invalidations += 1
-            self._tm_invalidations.inc()
             self.table.invalidate_logical(record)
             # The record stays in the temperature heap: TAC may replace a
             # valid page while invalid ones linger — the §4.2 waste.

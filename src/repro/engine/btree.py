@@ -116,13 +116,9 @@ class BPlusTree:
     # Traversal
     # ------------------------------------------------------------------
 
-    def _descend(self, node: _Node, key: int) -> int:
-        index = bisect.bisect_right(node.keys, key)
-        return node.children[index]
-
     def lookup(self, bp: BufferPool, key: int, ctx=None):
         """Process step: point lookup; returns the value or None."""
-        frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
+        frame, leaf = yield from self.fetch_leaf(bp, key, ctx=ctx)
         frame.pin_count -= 1
         keys = leaf.keys
         index = bisect.bisect_left(keys, key)
@@ -135,7 +131,7 @@ class BPlusTree:
 
         Dirties the leaf page; returns True if the key existed.
         """
-        frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
+        frame, leaf = yield from self.fetch_leaf(bp, key, ctx=ctx)
         index = bisect.bisect_left(leaf.keys, key)
         found = index < len(leaf.keys) and leaf.keys[index] == key
         if found:
@@ -147,7 +143,7 @@ class BPlusTree:
     def insert(self, bp: BufferPool, key: int, txn_id: Optional[int] = None,
                ctx=None):
         """Process step: insert ``key`` (idempotent), splitting if needed."""
-        frame, leaf = yield from self._fetch_leaf_frame(bp, key, ctx=ctx)
+        frame, leaf = yield from self.fetch_leaf(bp, key, ctx=ctx)
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             bp.unpin(frame)
@@ -160,42 +156,24 @@ class BPlusTree:
             yield from self._split(bp, leaf, txn_id, ctx=ctx)
         return True
 
-    def _fetch_leaf_frame(self, bp: BufferPool, key: int, ctx=None):
-        # The descent is the single hottest loop in an OLTP run: the
-        # inner-node pins are pure hits after warm-up, so the pin-hit
-        # fast path (the body of ``BufferPool.pin_hit``) is inlined per
-        # level and the ``fetch`` generator taken only on a miss or a
-        # busy frame.  The inline unpin releases a pin this loop itself
-        # took a few lines up (validation would be tautological).
+    def fetch_leaf(self, bp: BufferPool, key: int, ctx=None):
+        """Process step: descend to ``key``'s leaf; returns ``(frame,
+        leaf)`` with the leaf's frame pinned.
+
+        The descent is the hottest loop of an OLTP run and its inner
+        pins are hits after warm-up, so each level tries the pool's
+        :meth:`~BufferPool.pin_hit` and takes the ``fetch`` generator
+        only when that declines (a miss, a latched frame, or a modeled
+        partition latch).  The inline unpin releases a pin this loop
+        itself took a few lines up (validation would be tautological).
+        """
         pid = self.root_page
         nodes = self.nodes
+        pin_hit = bp.pin_hit
         bisect_right = bisect.bisect_right
-        if bp._latch_s:
-            # Latch service time is modeled: every pin must queue in
-            # virtual time, so each level takes the fetch generator.
-            while True:
-                frame = yield from bp.fetch(pid, ctx=ctx)
-                node = nodes[pid]
-                if node.is_leaf:
-                    return frame, node
-                next_pid = node.children[bisect_right(node.keys, key)]
-                frame.pin_count -= 1
-                pid = next_pid
-        env = bp.env
-        frames = bp.frames
-        stats = bp.stats
-        hit_inc = bp._tm_hit_inc
         while True:
-            frame = frames.get(pid)
-            if frame is not None and frame.io_busy is None:
-                frame.pin_count += 1
-                frame.prev_access = frame.last_access
-                frame.last_access = env._now
-                bp._stamp = stamp = bp._stamp + 1
-                frame.lru_stamp = stamp
-                stats.hits += 1
-                hit_inc()
-            else:
+            frame = pin_hit(pid)
+            if frame is None:
                 frame = yield from bp.fetch(pid, ctx=ctx)
             node = nodes[pid]
             if node.is_leaf:

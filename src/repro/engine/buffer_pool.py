@@ -35,7 +35,8 @@ All methods named as process steps (``fetch``, ``prefetch``, …) are
 generators meant to be driven with ``yield from`` inside a simulation
 process.  :meth:`BufferPool.pin_hit` is the exception by design: the
 no-I/O hit path completes without a process switch, so hot callers can
-pin without paying a generator round-trip.
+pin without paying a generator round-trip.  It is the pool's one hit
+path: ``fetch`` and the B-tree descent both pin hits through it.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class BufferPoolStats:
     __slots__ = (
         "hits", "misses", "ssd_hits", "disk_reads", "prefetched_pages",
         "evictions_clean", "evictions_dirty", "latch_wait_time",
-        "latch_waits", "latch_wait_by_reason", "partition_latch_waits",
-        "partition_latch_wait_time",
+        "latch_waits_by_reason", "latch_wait_by_reason",
+        "latch_waits_by_partition", "partition_latch_wait_time",
     )
 
-    def __init__(self):
+    def __init__(self, partitions: int = 1):
         self.hits = 0
         self.misses = 0
         self.ssd_hits = 0          # misses served from the SSD
@@ -70,14 +71,25 @@ class BufferPoolStats:
         self.evictions_clean = 0
         self.evictions_dirty = 0
         self.latch_wait_time = 0.0
-        self.latch_waits = 0
-        #: Latch wait time attributed to the cause of the latch (e.g.
-        #: "eviction" write-outs vs TAC's "admission-write", §2.5).
-        self.latch_wait_by_reason = {}
-        #: Fetches that queued on a partition latch (only counted when a
-        #: non-zero latch service time is modeled, DESIGN.md §13).
-        self.partition_latch_waits = 0
+        #: Fetches that waited on a frame latch, and the time they
+        #: waited, by the cause of the latch (e.g. "eviction" write-outs
+        #: vs TAC's "admission-write", §2.5).
+        self.latch_waits_by_reason: Dict[str, int] = {}
+        self.latch_wait_by_reason: Dict[str, float] = {}
+        #: Fetches that queued on each partition's latch (only counted
+        #: when a non-zero latch service time is modeled, DESIGN.md §13).
+        self.latch_waits_by_partition = [0] * partitions
         self.partition_latch_wait_time = 0.0
+
+    @property
+    def latch_waits(self) -> int:
+        """Fetches that waited on a frame latch, whatever the reason."""
+        return sum(self.latch_waits_by_reason.values())
+
+    @property
+    def partition_latch_waits(self) -> int:
+        """Fetches that queued on any partition latch."""
+        return sum(self.latch_waits_by_partition)
 
     @property
     def hit_rate(self) -> float:
@@ -113,8 +125,7 @@ class PoolPartition:
     whole queue never needs materializing (DESIGN.md §13).
     """
 
-    __slots__ = ("index", "heap", "busy_until", "latch_waits",
-                 "latch_wait_time", "resident")
+    __slots__ = ("index", "heap", "busy_until", "resident")
 
     def __init__(self, index: int):
         self.index = index
@@ -122,8 +133,6 @@ class PoolPartition:
         #: entries, one live entry per resident frame of this shard.
         self.heap: List[Tuple[float, int, PageId]] = []
         self.busy_until = 0.0
-        self.latch_waits = 0
-        self.latch_wait_time = 0.0
         #: Frames of this shard currently resident (its share of the
         #: global free list).
         self.resident = 0
@@ -146,11 +155,8 @@ class BufferPool:
     """
 
     __slots__ = (
-        "env", "telemetry", "_tracer", "_tm_hit", "_tm_hit_inc",
-        "_tm_ssd_hit", "_tm_disk_read", "_tm_evict_clean",
-        "_tm_evict_dirty", "_tm_latch_waits", "_tm_latch_wait_seconds",
-        "_tm_prefetched", "_tm_partition_latch", "capacity", "disk",
-        "wal", "ssd", "readahead", "expand_reads", "stats", "frames",
+        "env", "telemetry", "_tracer", "_latch_wait_seconds", "capacity",
+        "disk", "wal", "ssd", "readahead", "expand_reads", "stats", "frames",
         "_inflight", "_reserved", "_stamp", "_dirty", "partitions",
         "_nparts", "_parts", "_latch_s", "checkpoint_active",
         "_high_water", "_low_water", "_lazywriter_wake", "_frame_freed",
@@ -170,31 +176,7 @@ class BufferPool:
             raise ValueError(f"negative latch_seconds {latch_seconds}")
         self.env = env
         self.telemetry = telemetry or NULL_TELEMETRY
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        requests = registry.counter(
-            "bp_requests_total", "Page requests by how they were served",
-            labelnames=("result",))
-        self._tm_hit = requests.labels(result="hit")
-        self._tm_hit_inc = self._tm_hit.inc  # pre-bound: hottest counter
-        self._tm_ssd_hit = requests.labels(result="ssd_hit")
-        self._tm_disk_read = requests.labels(result="disk_read")
-        evictions = registry.counter(
-            "bp_evictions_total", "Frames evicted by the lazy writer",
-            labelnames=("kind",))
-        self._tm_evict_clean = evictions.labels(kind="clean")
-        self._tm_evict_dirty = evictions.labels(kind="dirty")
-        self._tm_latch_waits = registry.counter(
-            "bp_latch_waits_total", "Fetches that waited on a frame latch",
-            labelnames=("reason",))
-        self._tm_latch_wait_seconds = registry.histogram(
-            "bp_latch_wait_seconds", "Time spent waiting on frame latches")
-        self._tm_prefetched = registry.counter(
-            "bp_prefetched_pages_total", "Pages brought in by read-ahead")
-        registry.gauge("bp_dirty_frames", "Dirty frames in the buffer pool"
-                       ).set_function(lambda: self.dirty_count)
-        registry.gauge("bp_used_frames", "Occupied + reserved frame slots"
-                       ).set_function(lambda: self.used)
         self.capacity = capacity
         self.disk = disk
         self.wal = wal
@@ -203,7 +185,7 @@ class BufferPool:
         #: SQL Server 2008 R2 expands every single-page read to an 8-page
         #: read until the pool is filled (§4.3.2, Figure 8's initial burst).
         self.expand_reads = expand_reads
-        self.stats = BufferPoolStats()
+        self.stats = BufferPoolStats(partitions)
         self.frames: Dict[PageId, Frame] = {}
         self._inflight: Dict[PageId, Event] = {}
         self._reserved = 0  # frame slots claimed by in-flight misses
@@ -215,15 +197,7 @@ class BufferPool:
         self._nparts = partitions
         self._parts = [PoolPartition(i) for i in range(partitions)]
         self._latch_s = latch_seconds
-        if latch_seconds > 0.0:
-            family = registry.counter(
-                "bp_partition_latch_waits_total",
-                "Fetches that queued on a partition latch",
-                labelnames=("partition",))
-            self._tm_partition_latch = [
-                family.labels(partition=str(i)) for i in range(partitions)]
-        else:
-            self._tm_partition_latch = None
+        self._register_metrics()
         #: Set by the checkpointer while a sharp checkpoint is running.
         self.checkpoint_active = False
         # Lazy-writer machinery: evictions run in a background process
@@ -239,6 +213,49 @@ class BufferPool:
         self._frame_freed = self.env.event()
         self._evicting = 0  # eviction write-outs in flight
         self.env.process(self._lazywriter())
+
+    def _register_metrics(self) -> None:
+        """Bind the pool's counters and gauges to its state, and resolve
+        the latch-wait histogram, the one instrument the pool pushes to."""
+        registry = self.telemetry.registry
+        stats = self.stats
+        requests = registry.counter(
+            "bp_requests_total", "Page requests by how they were served",
+            labelnames=("result",))
+        requests.labels(result="hit").set_function(lambda: stats.hits)
+        requests.labels(result="ssd_hit").set_function(
+            lambda: stats.ssd_hits)
+        requests.labels(result="disk_read").set_function(
+            lambda: stats.disk_reads)
+        evictions = registry.counter(
+            "bp_evictions_total", "Frames evicted by the lazy writer",
+            labelnames=("kind",))
+        evictions.labels(kind="clean").set_function(
+            lambda: stats.evictions_clean)
+        evictions.labels(kind="dirty").set_function(
+            lambda: stats.evictions_dirty)
+        registry.counter(
+            "bp_latch_waits_total", "Fetches that waited on a frame latch",
+            labelnames=("reason",)).collect(
+                lambda: {(reason,): n for reason, n
+                         in stats.latch_waits_by_reason.items()})
+        registry.counter(
+            "bp_prefetched_pages_total", "Pages brought in by read-ahead"
+        ).set_function(lambda: stats.prefetched_pages)
+        if self._latch_s > 0.0:
+            family = registry.counter(
+                "bp_partition_latch_waits_total",
+                "Fetches that queued on a partition latch",
+                labelnames=("partition",))
+            for i in range(self.partitions):
+                family.labels(partition=str(i)).set_function(
+                    lambda i=i: stats.latch_waits_by_partition[i])
+        registry.gauge("bp_dirty_frames", "Dirty frames in the buffer pool"
+                       ).set_function(lambda: self.dirty_count)
+        registry.gauge("bp_used_frames", "Occupied + reserved frame slots"
+                       ).set_function(lambda: self.used)
+        self._latch_wait_seconds = registry.histogram(
+            "bp_latch_wait_seconds", "Time spent waiting on frame latches")
 
     @property
     def _warmed(self) -> bool:
@@ -273,16 +290,18 @@ class BufferPool:
     # Fetch path
     # ------------------------------------------------------------------
 
-    def pin_hit(self, page_id: PageId) -> Optional[Frame]:
+    def pin_hit(self, page_id: PageId,
+                latched: bool = False) -> Optional[Frame]:
         """Pin and return ``page_id``'s frame iff this needs no waiting.
 
-        The no-I/O, no-latch hit path of :meth:`fetch` as a plain call:
-        hot callers try this first and fall back to the ``fetch``
-        generator only on a miss, a latched frame, or when a partition
-        latch service time is modeled (which must queue in virtual
-        time).  Returns None when the caller must take ``fetch``.
+        The pool's one hit path, as a plain call: hot callers try this
+        first and fall back to the ``fetch`` generator only on a miss, a
+        latched frame, or when a partition latch service time is
+        modeled (which must queue in virtual time).  Returns None when
+        the caller must take ``fetch``.  ``fetch`` itself passes
+        ``latched=True`` once it has queued on the partition latch.
         """
-        if self._latch_s:
+        if self._latch_s and not latched:
             return None
         frame = self.frames.get(page_id)
         if frame is None or frame.io_busy is not None:
@@ -295,7 +314,6 @@ class BufferPool:
         self._stamp = stamp = self._stamp + 1
         frame.lru_stamp = stamp
         self.stats.hits += 1
-        self._tm_hit_inc()
         return frame
 
     def fetch(self, page_id: PageId, ctx=None):
@@ -312,35 +330,29 @@ class BufferPool:
         frames = self.frames
         stats = self.stats
         while True:
+            frame = self.pin_hit(page_id, latched=True)
+            if frame is not None:
+                return frame
             frame = frames.get(page_id)
             if frame is not None:
-                if frame.io_busy is not None:
-                    # Latch conflict: an I/O owns the frame (e.g. TAC's
-                    # write-to-SSD-after-read, §2.5) — wait and retry.
-                    started = env._now
-                    reason = frame.busy_reason or "unknown"
-                    stats.latch_waits += 1
-                    self._tm_latch_waits.labels(reason=reason).inc()
-                    yield frame.io_busy
-                    waited = env._now - started
-                    stats.latch_wait_time += waited
-                    by_reason = stats.latch_wait_by_reason
-                    by_reason[reason] = by_reason.get(reason, 0.0) + waited
-                    self._tm_latch_wait_seconds.observe(waited)
-                    if self._tracer.enabled:
-                        self._tracer.complete("latch_wait", started,
-                                              env._now, "bp",
-                                              "buffer_pool",
-                                              {"reason": reason}, ctx=ctx)
-                    continue
-                frame.pin_count += 1
-                frame.prev_access = frame.last_access
-                frame.last_access = env._now
-                self._stamp = stamp = self._stamp + 1
-                frame.lru_stamp = stamp
-                stats.hits += 1
-                self._tm_hit_inc()
-                return frame
+                # Latch conflict: an I/O owns the frame (e.g. TAC's
+                # write-to-SSD-after-read, §2.5) — wait and retry.
+                started = env._now
+                reason = frame.busy_reason or "unknown"
+                counts = stats.latch_waits_by_reason
+                counts[reason] = counts.get(reason, 0) + 1
+                yield frame.io_busy
+                waited = env._now - started
+                stats.latch_wait_time += waited
+                by_reason = stats.latch_wait_by_reason
+                by_reason[reason] = by_reason.get(reason, 0.0) + waited
+                if self.telemetry.enabled:
+                    self._latch_wait_seconds.observe(waited)
+                if self._tracer.enabled:
+                    self._tracer.complete("latch_wait", started,
+                                          env._now, "bp", "buffer_pool",
+                                          {"reason": reason}, ctx=ctx)
+                continue
 
             pending = self._inflight.get(page_id)
             if pending is not None:
@@ -391,14 +403,9 @@ class BufferPool:
         part.busy_until = start + service
         wait = start - now
         if wait > 0.0:
-            part.latch_waits += 1
-            part.latch_wait_time += wait
             stats = self.stats
-            stats.partition_latch_waits += 1
+            stats.latch_waits_by_partition[part.index] += 1
             stats.partition_latch_wait_time += wait
-            counters = self._tm_partition_latch
-            if counters is not None:
-                counters[part.index].inc()
             if self._tracer.enabled:
                 self._tracer.complete("partition_latch", now, start, "bp",
                                       "buffer_pool",
@@ -416,7 +423,6 @@ class BufferPool:
         version = yield from self.ssd.try_read(page_id, ctx=ctx)
         if version is not None:
             self.stats.ssd_hits += 1
-            self._tm_ssd_hit.inc()
             if self._tracer.enabled:
                 self._tracer.complete("bp_miss", miss_started, self.env.now,
                                       "bp", "buffer_pool",
@@ -437,7 +443,6 @@ class BufferPool:
             return frame
 
         self.stats.disk_reads += 1
-        self._tm_disk_read.inc()
         if self.expand_reads and not self._warmed:
             frame = yield from self._expanded_read(page_id, ctx=ctx)
         else:
@@ -542,7 +547,6 @@ class BufferPool:
             self.frames[pid] = frame
             self._touch(frame)
             self.stats.prefetched_pages += 1
-            self._tm_prefetched.inc()
             self.ssd.on_read_from_disk(frame)
 
     def _ssd_single(self, page_id: PageId):
@@ -561,10 +565,8 @@ class BufferPool:
         self.frames[page_id] = frame
         self._touch(frame)
         self.stats.prefetched_pages += 1
-        self._tm_prefetched.inc()
         if from_ssd:
             self.stats.ssd_hits += 1
-            self._tm_ssd_hit.inc()
 
     # ------------------------------------------------------------------
     # Update path
@@ -644,11 +646,6 @@ class BufferPool:
             part = self._parts[frame.page_id % self._nparts]
             part.resident += 1
             heappush(part.heap, (frame.prev_access, stamp, frame.page_id))
-
-    def _pick_victim(self) -> Optional[Frame]:
-        """Pop the LRU-2 victim: oldest penultimate access, unpinned."""
-        victims = self._pick_victims(1)
-        return victims[0] if victims else None
 
     def _pick_victims(self, want: int) -> List[Frame]:
         """Pop up to ``want`` LRU-2 victims across all partitions.
@@ -805,7 +802,6 @@ class BufferPool:
         try:
             if victim.dirty:
                 self.stats.evictions_dirty += 1
-                self._tm_evict_dirty.inc()
                 # WAL rule: log records for the page must be durable before
                 # the page goes to the SSD or disk (§2.4).  Skip the
                 # generator when a group commit already covered the LSN
@@ -820,7 +816,6 @@ class BufferPool:
                                     {"page": victim.page_id})
             else:
                 self.stats.evictions_clean += 1
-                self._tm_evict_clean.inc()
                 yield from self.ssd.on_evict_clean(victim)
                 if tracer.enabled:
                     tracer.complete("evict_clean", started, self.env.now,

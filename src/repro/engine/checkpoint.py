@@ -48,9 +48,9 @@ class Checkpointer:
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_checkpoints = registry.counter(
-            "checkpoints_total", "Checkpoints completed")
-        self._tm_duration = registry.histogram(
+        registry.counter("checkpoints_total", "Checkpoints completed"
+                         ).set_function(lambda: self.checkpoints_taken)
+        self._duration_seconds = registry.histogram(
             "checkpoint_duration_seconds", "Wall (virtual) checkpoint time")
 
     def start(self) -> None:
@@ -97,14 +97,19 @@ class Checkpointer:
             self.bp.checkpoint_active = False
         self.last_checkpoint_lsn = begin_lsn
         self.wal.truncate(begin_lsn)
-        self.checkpoints_taken += 1
-        self.durations.append(self.env.now - started)
-        self._tm_checkpoints.inc()
-        self._tm_duration.observe(self.env.now - started)
+        self._finished(started)
         if self._tracer.enabled:
             self._tracer.complete("checkpoint", started, self.env.now,
                                   "checkpoint", "checkpoint",
                                   {"dirty_pages": dirty_count})
+
+    def _finished(self, started: float) -> None:
+        """Account one completed checkpoint that began at ``started``."""
+        self.checkpoints_taken += 1
+        duration = self.env.now - started
+        self.durations.append(duration)
+        if self.telemetry.enabled:
+            self._duration_seconds.observe(duration)
 
     def _flush_one(self, frame: Frame):
         """Flush one dirty frame via the design's checkpoint-write hook."""
@@ -145,10 +150,7 @@ class FuzzyCheckpointer(Checkpointer):
         yield from self.wal.force(marker, ctx=CHECKPOINT_CTX)
         self.last_checkpoint_lsn = redo_from - 1
         self.wal.truncate(redo_from - 1)
-        self.checkpoints_taken += 1
-        self.durations.append(self.env.now - started)
-        self._tm_checkpoints.inc()
-        self._tm_duration.observe(self.env.now - started)
+        self._finished(started)
         if self._tracer.enabled:
             self._tracer.complete("fuzzy_checkpoint", started, self.env.now,
                                   "checkpoint", "checkpoint",

@@ -63,19 +63,24 @@ class WriteAheadLog:
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled:
             self.device.attach_telemetry(self.telemetry)
-        registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._tm_records = registry.counter(
-            "wal_records_total", "Redo records appended to the log tail")
-        self._tm_records_inc = self._tm_records.inc  # pre-bound: hot path
-        self._tm_flushes = registry.counter(
-            "wal_flushes_total", "Group-commit flushes of the log tail")
-        self._tm_pages_flushed = registry.counter(
-            "wal_pages_flushed_total", "Log pages written to the log device")
-        self._tm_retries = registry.counter(
-            "wal_retries_total",
-            "Log flushes retried after transient failures")
+        self.flushes = 0
+        self.pages_flushed = 0
         self.flush_retries = 0
+        registry = self.telemetry.registry
+        registry.counter(
+            "wal_records_total", "Redo records appended to the log tail"
+        ).set_function(lambda: self.tail_lsn + 1)
+        registry.counter(
+            "wal_flushes_total", "Group-commit flushes of the log tail"
+        ).set_function(lambda: self.flushes)
+        registry.counter(
+            "wal_pages_flushed_total", "Log pages written to the log device"
+        ).set_function(lambda: self.pages_flushed)
+        registry.counter(
+            "wal_retries_total",
+            "Log flushes retried after transient failures"
+        ).set_function(lambda: self.flush_retries)
 
     @property
     def tail_lsn(self) -> int:
@@ -88,7 +93,6 @@ class WriteAheadLog:
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         self.records.append(LogRecord(lsn, page_id, version, txn_id))
-        self._tm_records_inc()
         return lsn
 
     def records_since(self, lsn: int) -> List[LogRecord]:
@@ -133,8 +137,8 @@ class WriteAheadLog:
             self._write_head += npages
             flush_started = self.env.now
             yield from self._flush_with_retry(request)
-            self._tm_flushes.inc()
-            self._tm_pages_flushed.inc(npages)
+            self.flushes += 1
+            self.pages_flushed += npages
             if self._tracer.enabled:
                 self._tracer.complete("flush", flush_started, self.env.now,
                                       "wal", "wal",
@@ -167,7 +171,6 @@ class WriteAheadLog:
                 raise
             except IoFault:
                 self.flush_retries += 1
-                self._tm_retries.inc()
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "io_retry", "fault", "faults",

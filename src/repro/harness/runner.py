@@ -119,6 +119,17 @@ class RunResult:
         return sum(tail) / sum(widths) * self.metric_window
 
 
+def _latency_family(system):
+    """The per-type latency histogram family, or None when telemetry is
+    off (a client then makes no registry call per transaction)."""
+    telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
+    if not telemetry.enabled:
+        return None
+    return telemetry.registry.histogram(
+        "txn_latency_seconds", "Transaction latency by type",
+        labelnames=("type",))
+
+
 class WorkloadRunner:
     """Runs an OLTP workload against a system with N closed-loop clients."""
 
@@ -181,11 +192,7 @@ class WorkloadRunner:
         system, workload = self.system, self.workload
         metric_txn = workload.metric_transaction
         nbuckets = len(result.buckets)
-        telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
-        latency_family = telemetry.registry.histogram(
-            "txn_latency_seconds", "Transaction latency by type",
-            labelnames=("type",))
-        histograms = {}
+        latency_family = _latency_family(system)
         env = system.env
         transaction = workload.transaction
         txn_counts = result.txn_counts
@@ -201,10 +208,8 @@ class WorkloadRunner:
             txn_counts[name] = txn_counts.get(name, 0) + 1
             latency = now - started
             record_latency(name, latency)
-            histogram = histograms.get(name)
-            if histogram is None:
-                histogram = histograms[name] = latency_family.labels(type=name)
-            histogram.observe(latency)
+            if latency_family is not None:
+                latency_family.labels(type=name).observe(latency)
             if name == metric_txn:
                 bucket = int((now - start_time) / bucket_seconds)
                 if 0 <= bucket < nbuckets:
@@ -317,11 +322,7 @@ class OpenLoopRunner:
         system = self.system
         metric_txn = self.workload.metric_transaction
         nbuckets = len(result.buckets)
-        telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
-        latency_family = telemetry.registry.histogram(
-            "txn_latency_seconds", "Transaction latency by type",
-            labelnames=("type",))
-        histograms = {}
+        latency_family = _latency_family(system)
         while not self._stopped:
             index, enqueued = yield queue.get()
             tenant = stats[index]
@@ -334,10 +335,8 @@ class OpenLoopRunner:
             tenant.latencies.record(name, sojourn)
             result.txn_counts[name] = result.txn_counts.get(name, 0) + 1
             result.latencies.record(name, sojourn)
-            histogram = histograms.get(name)
-            if histogram is None:
-                histogram = histograms[name] = latency_family.labels(type=name)
-            histogram.observe(sojourn)
+            if latency_family is not None:
+                latency_family.labels(type=name).observe(sojourn)
             if name == metric_txn:
                 bucket = int((system.env.now - result.start_time)
                              / self.bucket_seconds)

@@ -288,7 +288,7 @@ def restore(data: Dict[str, Any]) -> Any:
         used_frames=ssd["used_frames"],
         dirty_fraction=ssd["dirty_fraction"],
         detached=ssd.get("detached", False),
-        stats=SsdStats(**ssd["stats"]),
+        stats=SsdStats.from_dict(ssd["stats"]),
         table=_Attrs(invalid_count=ssd["invalid_count"]),
         config=_Attrs(**ssd["config"]),
     )

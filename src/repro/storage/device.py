@@ -23,34 +23,37 @@ KIND_LABELS = {kind: kind.name.lower() for kind in IoKind}
 
 @dataclass
 class DeviceStats:
-    """Cumulative per-device counters."""
+    """Cumulative per-device counters.
+
+    An :class:`~repro.storage.hdd.HddArray` records each per-disk
+    fragment of a striped request, so its counts are per-disk I/Os.
+    """
 
     completed: int = 0
-    pages_read: int = 0
-    pages_written: int = 0
     busy_time: float = 0.0
+    #: Completed I/Os and the pages they moved, by I/O kind.
     by_kind: Dict[IoKind, int] = field(
+        default_factory=lambda: {kind: 0 for kind in IoKind})
+    pages_by_kind: Dict[IoKind, int] = field(
         default_factory=lambda: {kind: 0 for kind in IoKind})
 
     def record(self, request: IORequest, service: float) -> None:
         """Account one completed request."""
         self.completed += 1
         self.by_kind[request.kind] += 1
-        if request.kind.is_read:
-            self.pages_read += request.npages
-        else:
-            self.pages_written += request.npages
+        self.pages_by_kind[request.kind] += request.npages
         self.busy_time += service
 
     @property
-    def bytes_read(self) -> int:
-        """Total bytes read from the device."""
-        return self.pages_read * PAGE_SIZE_BYTES
+    def pages_read(self) -> int:
+        """Total pages read from the device."""
+        return sum(n for kind, n in self.pages_by_kind.items() if kind.is_read)
 
     @property
-    def bytes_written(self) -> int:
-        """Total bytes written to the device."""
-        return self.pages_written * PAGE_SIZE_BYTES
+    def pages_written(self) -> int:
+        """Total pages written to the device."""
+        return sum(n for kind, n in self.pages_by_kind.items()
+                   if not kind.is_read)
 
 
 class TrafficRecorder:
@@ -138,14 +141,16 @@ class Device:
             "io_pages_total", "Pages transferred per device and I/O kind",
             labelnames=("device", "kind"))
         requests = registry.counter(
-            "io_requests_total", "Completed I/Os per device and I/O kind",
+            "io_requests_total",
+            "Completed I/Os per device and I/O kind (per-disk I/Os for "
+            "a striped HDD array)",
             labelnames=("device", "kind"))
-        self._tm_pages = {
-            kind: pages.labels(device=self.name, kind=label)
-            for kind, label in KIND_LABELS.items()}
-        self._tm_requests = {
-            kind: requests.labels(device=self.name, kind=label)
-            for kind, label in KIND_LABELS.items()}
+        stats = self.stats
+        for kind, label in KIND_LABELS.items():
+            pages.labels(device=self.name, kind=label).set_function(
+                lambda kind=kind: stats.pages_by_kind[kind])
+            requests.labels(device=self.name, kind=label).set_function(
+                lambda kind=kind: stats.by_kind[kind])
         registry.gauge(
             "device_pending_ios", "I/Os submitted but not yet completed",
             labelnames=("device",)).labels(device=self.name).set_function(
@@ -200,8 +205,6 @@ class Device:
             if failure is None:
                 request.completed_at = env._now
                 self.stats.record(request, service)
-                self._tm_requests[request.kind].inc()
-                self._tm_pages[request.kind].inc(request.npages)
                 if self._tracer.enabled:
                     self._tracer.complete(KIND_LABELS[request.kind],
                                           request.submitted_at,

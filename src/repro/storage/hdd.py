@@ -100,20 +100,6 @@ class HddArray(Device):
         seeking = gap > self.NEAR_PAGES
         return (seek if seeking else 0.0) + per_page * fragment.npages
 
-    def submit(self, request: IORequest) -> Event:
-        """Submit a request, splitting it into per-drive fragments."""
-        request.submitted_at = self.env.now
-        done = self.env.event()
-        if self.faults is not None:
-            error = self.faults.on_submit(request)
-            if error is not None:
-                done.fail(error)
-                return done
-        self._outstanding += 1
-        fragments = self._split(request)
-        self.env.process(self._serve_fragments(request, fragments, done))
-        return done
-
     def reset(self) -> None:
         super().reset()
         self._disks = [Resource(self.env, 1) for _ in range(self.ndisks)]
@@ -133,7 +119,9 @@ class HddArray(Device):
             remaining -= take
         return fragments
 
-    def _serve_fragments(self, request: IORequest, fragments, done: Event):
+    def _serve(self, request: IORequest, done: Event):
+        """Serve ``request`` as per-drive fragments in parallel."""
+        fragments = self._split(request)
         failure = None
         try:
             if self.faults is not None:
@@ -152,7 +140,6 @@ class HddArray(Device):
                 failure = self.faults.on_complete(request)
             if failure is None:
                 request.completed_at = self.env.now
-                self._tm_requests[request.kind].inc()
                 if self._tracer.enabled:
                     self._tracer.complete(KIND_LABELS[request.kind],
                                           request.submitted_at, self.env.now,
@@ -177,6 +164,5 @@ class HddArray(Device):
                                       + fragment.npages)
             yield self.env.timeout(service)
             self.stats.record(fragment, service)
-            self._tm_pages[fragment.kind].inc(fragment.npages)
             if self.traffic is not None:
                 self.traffic.record(self.env.now, fragment)

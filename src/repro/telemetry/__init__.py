@@ -2,9 +2,10 @@
 
 Every instrumented component takes an optional :class:`Telemetry` and
 defaults to :data:`NULL_TELEMETRY`, whose registry and tracer are shared
-no-op singletons — instrumentation then costs one no-op method call per
-event and performs no allocation, so the hot paths run at seed speed
-when observability is off.
+no-op singletons.  Counters are read from the components' own stats at
+export (the collector model, see :mod:`repro.telemetry.registry`), and
+tracer calls and histogram pushes are guarded by ``enabled``, so with
+observability off the hot paths make no telemetry call at all.
 
 Typical wiring (the harness does this for you)::
 

@@ -2,20 +2,26 @@
 
 Prometheus-shaped but simulation-native: instruments are plain Python
 objects registered by name, optionally fanned out into *labeled children*
-(``io_pages_total{device="ssd",kind="random_read"}``).  Values are read
-directly (no scrape cycle) and a :meth:`MetricRegistry.snapshot` renders
-everything for reports.
+(``io_pages_total{device="ssd",kind="random_read"}``), and
+:meth:`MetricRegistry.snapshot` renders everything for reports.
+
+Counters follow Prometheus's *collector* model: a component registers
+each counter once, with a function that reads its own state (the
+``__slots__`` stats objects, :class:`~repro.storage.device.DeviceStats`,
+the WAL's LSN) when the registry is exported.  The hot paths count an
+event exactly once, in that state, and never call the registry.  Only
+histograms are pushed (:meth:`Histogram.observe`), because no component
+state keeps their samples.
 
 The null twins at the bottom (:data:`NULL_REGISTRY` and friends) are the
-disabled mode: every factory returns a shared singleton whose mutators do
-nothing, so instrumented hot paths cost one no-op method call and zero
-allocation when telemetry is off.
+disabled mode: every factory returns a shared singleton whose methods do
+nothing, so registration costs nothing when telemetry is off.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 def percentile_of(sorted_values: Sequence[float], q: float) -> float:
@@ -37,33 +43,10 @@ def percentile_of(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
 
 
-class Counter:
-    """A monotonically increasing count."""
+class _Reading:
+    """An instrument whose value may be read from a callback."""
 
-    kind = "counter"
-    __slots__ = ("name", "labels", "_value")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        """Current count."""
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down, or track a callback."""
-
-    kind = "gauge"
+    kind = ""
     __slots__ = ("name", "labels", "_value", "_fn")
 
     def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
@@ -71,6 +54,33 @@ class Gauge:
         self.labels = labels or {}
         self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read the value from ``fn()`` at export."""
+        self._fn = fn
+
+    @property
+    def value(self) -> float:
+        """Current value (calls the callback if one is set)."""
+        return float(self._fn()) if self._fn is not None else self._value
+
+
+class Counter(_Reading):
+    """A monotonically increasing count, read from its owner's state.
+
+    The owner binds the count with :meth:`set_function`; a counter has
+    no way to be incremented and reads 0 until bound.
+    """
+
+    kind = "counter"
+    __slots__ = ()
+
+
+class Gauge(_Reading):
+    """A value that can go up and down, or track a callback."""
+
+    kind = "gauge"
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
@@ -83,15 +93,6 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the gauge."""
         self._value -= amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Make the gauge track ``fn()`` instead of a stored value."""
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        """Current value (calls the callback if one is set)."""
-        return float(self._fn()) if self._fn is not None else self._value
 
 
 class Histogram:
@@ -151,10 +152,15 @@ class Histogram:
         }
 
 
+#: A family's read-side source: label-value tuples -> current counts.
+Collector = Callable[[], Mapping[Tuple[str, ...], float]]
+
+
 class MetricFamily:
     """A named metric with declared label names and per-value children."""
 
-    __slots__ = ("name", "help", "labelnames", "_cls", "_children")
+    __slots__ = ("name", "help", "labelnames", "_cls", "_children",
+                 "_collectors")
 
     def __init__(self, name: str, help_text: str,
                  labelnames: Tuple[str, ...], cls: type):
@@ -163,6 +169,7 @@ class MetricFamily:
         self.labelnames = labelnames
         self._cls = cls
         self._children: Dict[Tuple[str, ...], object] = {}
+        self._collectors: List[Collector] = []
 
     @property
     def kind(self) -> str:
@@ -175,15 +182,31 @@ class MetricFamily:
             raise ValueError(
                 f"{self.name} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}")
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
+        return self._child(
+            tuple(str(labelvalues[n]) for n in self.labelnames))
+
+    def _child(self, key: Tuple[str, ...]):
         child = self._children.get(key)
         if child is None:
             child = self._cls(self.name, dict(zip(self.labelnames, key)))
             self._children[key] = child
         return child
 
+    def collect(self, fn: Collector) -> None:
+        """Bind children whose label values are only known at export.
+
+        ``fn()`` maps label-value tuples (in ``labelnames`` order) to
+        their current counts; each key it ever returns becomes a child
+        that reads its entry, e.g. fault kinds as they are injected.
+        """
+        self._collectors.append(fn)
+
     def children(self) -> Iterator[object]:
-        """All children created so far, in creation order."""
+        """All children (collected ones included), in creation order."""
+        for fn in self._collectors:
+            for key in fn():
+                self._child(key).set_function(
+                    lambda fn=fn, key=key: fn().get(key, 0))
         return iter(self._children.values())
 
 
@@ -199,7 +222,6 @@ class MetricRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, object] = {}
-        self._help: Dict[str, str] = {}
 
     def _make(self, cls: type, name: str, help_text: str,
               labelnames: Sequence[str]):
@@ -217,7 +239,6 @@ class MetricRegistry:
         metric = (MetricFamily(name, help_text, labelnames, cls)
                   if labelnames else cls(name))
         self._metrics[name] = metric
-        self._help[name] = help_text
         return metric
 
     def counter(self, name: str, help_text: str = "",
@@ -275,7 +296,10 @@ class NullCounter:
     name = "null"
     value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def set_function(self, fn) -> None:
+        pass
+
+    def collect(self, fn) -> None:
         pass
 
     def labels(self, **labelvalues):

@@ -88,7 +88,7 @@ class Transaction:
     def index_update(self, tree, key: int):
         """Process step: B+-tree in-place update (dirties the leaf)."""
         bp = self.system.bp
-        frame, leaf = yield from tree._fetch_leaf_frame(bp, key, ctx=self.ctx)
+        frame, leaf = yield from tree.fetch_leaf(bp, key, ctx=self.ctx)
         self.last_lsn = bp.mark_dirty(frame, txn_id=self.txn_id)
         self.writes.append((frame.page_id, frame.version))
         frame.pin_count -= 1

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
+from repro.telemetry import Telemetry
 from tests.conftest import drive
 
 
@@ -141,6 +143,40 @@ class TestStats:
         assert ssd.stats.by_kind[IoKind.RANDOM_READ] == 1
         assert ssd.stats.by_kind[IoKind.SEQUENTIAL_READ] == 1
         assert ssd.stats.by_kind[IoKind.RANDOM_WRITE] == 1
+
+    def test_striped_request_counts_per_disk_ios(self, env):
+        """A request spanning two stripe units is two per-disk I/Os, in
+        ``DeviceStats`` and in the registry alike."""
+        telemetry = Telemetry()
+        hdd = HddArray(env, ndisks=4, stripe_pages=8)
+        hdd.attach_telemetry(telemetry)
+        drive(env, wait_for(hdd.write(4, npages=12, random=False)))
+        family = telemetry.registry.get("io_requests_total")
+        requests = family.labels(device="hdd-array", kind="sequential_write")
+        assert hdd.stats.by_kind[IoKind.SEQUENTIAL_WRITE] == 2
+        assert requests.value == 2
+        pages = telemetry.registry.get("io_pages_total").labels(
+            device="hdd-array", kind="sequential_write")
+        assert pages.value == hdd.stats.pages_written == 12
+
+    def test_hdd_registry_matches_stats_in_a_run(self):
+        """LC's multi-page write-backs span stripe units: the registry
+        once counted 10 logical requests where the array's stats counted
+        45 per-disk I/Os."""
+        telemetry = Telemetry()
+        result = run_oltp_experiment(
+            "tpcc", 20, "LC", duration=4.0, profile=SCALE_PROFILES["tiny"],
+            nworkers=8, checkpoint_interval=1.0, telemetry=telemetry)
+        stats = result.system.data_device.stats
+        requests = telemetry.registry.get("io_requests_total").labels(
+            device="hdd-array", kind="sequential_write")
+        assert stats.by_kind[IoKind.SEQUENTIAL_WRITE] == 45
+        assert requests.value == 45
+
+
+def wait_for(event):
+    """A process that waits for one device event."""
+    yield event
 
 
 class TestTrafficRecorder:

@@ -1,9 +1,9 @@
 """End-to-end telemetry over a real (tiny) LC run.
 
 One short run is shared by the whole module; the assertions check that
-the instrumented hot paths actually fire, that registry counters agree
-with the engine's own statistics, and that a telemetry-free run stays
-dark.
+the instrumented hot paths actually fire and that a telemetry-free run
+stays dark.  A design matrix under injected faults checks that every
+counter the registry lists equals the component state it reads.
 """
 
 import json
@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.storage.device import KIND_LABELS
 from repro.telemetry import Telemetry
 
 
@@ -51,27 +52,101 @@ class TestEventCoverage:
         assert doc["traceEvents"]
 
 
+#: Designs of the counter matrix, each with the knobs that make its
+#: design-specific counters move (LC also models the partition latch).
+MATRIX = {
+    "LC": dict(dirty_threshold=0.01, checkpoint_interval=1.0,
+               partitions=4, latch_us=20.0),
+    "TAC": {},
+    "LS": dict(checkpoint_interval=1.5),
+}
+
+MATRIX_FAULTS = ("transient:p=0.002,transient:p=0.03:device=ssd,"
+                 "transient:p=0.03:device=disk")
+
+
+def _matrix_run(design):
+    telemetry = Telemetry()
+    result = run_oltp_experiment(
+        "tpcc", 20, design, duration=4.0, profile=SCALE_PROFILES["tiny"],
+        nworkers=8, faults=MATRIX_FAULTS, telemetry=telemetry,
+        **MATRIX[design])
+    return telemetry, result
+
+
+def _device(system, name):
+    devices = (system.data_device, system.ssd_device, system.wal.device)
+    return next(device for device in devices if device.name == name)
+
+
+def _io_kind(label):
+    return next(kind for kind, text in KIND_LABELS.items() if text == label)
+
+
+def _fault_count(system, labels):
+    injectors = system.faults.injectors.values()
+    return sum(inj.stats.get(labels["kind"], 0) for inj in injectors
+               if inj.device.name == labels["device"])
+
+
+#: Counter name -> the component state it reads, as ``f(system, labels)``.
+STATE_TWINS = {
+    "bp_requests_total": lambda s, l: {
+        "hit": s.bp.stats.hits, "ssd_hit": s.bp.stats.ssd_hits,
+        "disk_read": s.bp.stats.disk_reads}[l["result"]],
+    "bp_evictions_total": lambda s, l: getattr(
+        s.bp.stats, "evictions_" + l["kind"]),
+    "bp_latch_waits_total": lambda s, l:
+        s.bp.stats.latch_waits_by_reason[l["reason"]],
+    "bp_prefetched_pages_total": lambda s, l: s.bp.stats.prefetched_pages,
+    "bp_partition_latch_waits_total": lambda s, l:
+        s.bp.stats.latch_waits_by_partition[int(l["partition"])],
+    "checkpoints_total": lambda s, l: s.checkpointer.checkpoints_taken,
+    "disk_retries_total": lambda s, l: s.disk.retries,
+    "faults_injected_total": _fault_count,
+    "io_pages_total": lambda s, l: _device(s, l["device"]).stats
+        .pages_by_kind[_io_kind(l["kind"])],
+    "io_requests_total": lambda s, l: _device(s, l["device"]).stats
+        .by_kind[_io_kind(l["kind"])],
+    "wal_records_total": lambda s, l: s.wal.tail_lsn + 1,
+    "wal_flushes_total": lambda s, l: s.wal.flushes,
+    "wal_pages_flushed_total": lambda s, l: s.wal.pages_flushed,
+    "wal_retries_total": lambda s, l: s.wal.flush_retries,
+    "ssd_mgr_reads_total": lambda s, l: s.ssd_manager.stats.reads,
+    "ssd_mgr_writes_total": lambda s, l: s.ssd_manager.stats.writes,
+    "ssd_mgr_invalidations_total":
+        lambda s, l: s.ssd_manager.stats.invalidations,
+    "ssd_mgr_declined_throttle_total":
+        lambda s, l: s.ssd_manager.stats.declined_throttle,
+    "ssd_mgr_evictions_total": lambda s, l: s.ssd_manager.stats.evictions,
+    "ssd_mgr_fallback_disk_writes_total":
+        lambda s, l: s.ssd_manager.stats.fallback_disk_writes,
+    "ssd_mgr_retries_total": lambda s, l: s.ssd_manager.stats.io_retries,
+    "ssd_mgr_throttle_preserved_total":
+        lambda s, l: s.ssd_manager.stats.throttle_preserved,
+    "lc_cleaner_rounds_total": lambda s, l: s.ssd_manager.stats.cleaner_ios,
+    "lc_cleaner_pages_total":
+        lambda s, l: s.ssd_manager.stats.cleaner_pages,
+    "lc_lambda_crossings_total":
+        lambda s, l: s.ssd_manager.stats.lambda_crossings,
+    "tac_admission_writes_total":
+        lambda s, l: s.ssd_manager.stats.admission_writes,
+    "tac_missed_dirty_writes_total":
+        lambda s, l: s.ssd_manager.stats.missed_dirty_writes,
+    "ls_batches_total": lambda s, l: s.ssd_manager.stats.batches,
+    "ls_batch_pages_total": lambda s, l: s.ssd_manager.stats.batch_pages,
+    "ls_reclaimed_segments_total":
+        lambda s, l: s.ssd_manager.stats.cleaner_ios,
+    "ls_reclaim_dirty_flushes_total":
+        lambda s, l: s.ssd_manager.stats.cleaner_pages,
+    "ls_relocated_entries_total":
+        lambda s, l: s.ssd_manager.stats.relocations,
+    "ls_replayed_entries_total":
+        lambda s, l: s.ssd_manager.stats.replayed_entries,
+}
+
+
 class TestMetricsAgreeWithStats:
-    def test_buffer_pool_counters(self, traced_run):
-        telemetry, result = traced_run
-        registry = telemetry.registry
-        stats = result.system.bp.stats
-        requests = registry.get("bp_requests_total")
-        assert requests.labels(result="hit").value == stats.hits
-        assert requests.labels(result="ssd_hit").value == stats.ssd_hits
-        evictions = registry.get("bp_evictions_total")
-        assert evictions.labels(kind="clean").value == stats.evictions_clean
-        assert evictions.labels(kind="dirty").value == stats.evictions_dirty
-
-    def test_ssd_manager_counters(self, traced_run):
-        telemetry, result = traced_run
-        registry = telemetry.registry
-        stats = result.system.ssd_manager.stats
-        assert registry.get("ssd_mgr_writes_total").value == stats.writes
-        assert registry.get("ssd_mgr_reads_total").value == stats.reads
-        assert (registry.get("ssd_mgr_invalidations_total").value
-                == stats.invalidations)
-
     def test_cleaner_actually_ran(self, traced_run):
         telemetry, _ = traced_run
         assert telemetry.registry.get("lc_cleaner_rounds_total").value > 0
@@ -90,6 +165,26 @@ class TestMetricsAgreeWithStats:
                 == manager.used_frames)
         assert (telemetry.registry.get("bp_used_frames").value
                 == result.system.bp.used)
+
+    @pytest.mark.parametrize("design", sorted(MATRIX))
+    def test_counters_equal_stats(self, design):
+        telemetry, result = _matrix_run(design)
+        system = result.system
+        counters = [row for row in telemetry.registry.snapshot()
+                    if row["kind"] == "counter"]
+        names = {row["name"] for row in counters}
+        assert names >= {"bp_requests_total", "io_requests_total",
+                         "wal_records_total", "ssd_mgr_writes_total"}
+        for row in counters:
+            assert row["name"] in STATE_TWINS, (
+                f"{row['name']} has no state twin in this test")
+            twin = STATE_TWINS[row["name"]](system, row["labels"])
+            assert row["value"] == twin, (row, twin)
+        # The fault plan drove the retry paths the counters report on.
+        by_name = {row["name"]: row["value"] for row in counters}
+        assert by_name["wal_retries_total"] > 0
+        assert by_name["disk_retries_total"] > 0
+        assert by_name["faults_injected_total"] > 0
 
 
 class TestAttributionCoverage:

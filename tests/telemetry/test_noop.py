@@ -63,7 +63,7 @@ class TestOverheadSmoke:
         loop costs.  The bound is deliberately generous (5x): this guards
         against accidental per-call allocation (building args dicts,
         creating span objects), not micro-variance."""
-        counter = NULL_REGISTRY.counter("c", labelnames=("kind",))
+        histogram = NULL_REGISTRY.histogram("h", labelnames=("kind",))
         tracer = NULL_TRACER
         n = 50_000
 
@@ -77,7 +77,7 @@ class TestOverheadSmoke:
             total = 0
             for i in range(n):
                 total += i
-                counter.labels(kind="x").inc()
+                histogram.labels(kind="x").observe(1.0)
                 if tracer.enabled:  # the call-site gating idiom
                     tracer.instant("e", args={"i": i})
             return total

@@ -16,15 +16,28 @@ from repro.telemetry import (
 
 class TestCounter:
     def test_starts_at_zero_and_counts(self):
+        """A counter reads its owner's state at export, never a copy."""
+        state = {"n": 0}
         counter = MetricRegistry().counter("c")
         assert counter.value == 0
-        counter.inc()
-        counter.inc(4)
+        counter.set_function(lambda: state["n"])
+        state["n"] = 5
         assert counter.value == 5
 
-    def test_rejects_negative_increments(self):
-        with pytest.raises(ValueError):
-            MetricRegistry().counter("c").inc(-1)
+    def test_has_no_push_side(self):
+        assert not hasattr(MetricRegistry().counter("c"), "inc")
+        assert not hasattr(NULL_COUNTER, "inc")
+
+    def test_collected_children_appear_at_export(self):
+        faults = {}
+        family = MetricRegistry().counter("f", labelnames=("kind",))
+        family.collect(lambda: {(kind,): n for kind, n in faults.items()})
+        assert list(family.children()) == []
+        faults["stall"] = 2
+        (child,) = family.children()
+        assert child.labels == {"kind": "stall"}
+        faults["stall"] = 3
+        assert child.value == 3
 
 
 class TestGauge:
@@ -49,12 +62,12 @@ class TestLabels:
         a = family.labels(device="ssd", kind="random_read")
         b = family.labels(device="ssd", kind="random_read")
         assert a is b
-        a.inc(3)
+        a.set_function(lambda: 3)
         assert b.value == 3
 
     def test_distinct_labels_distinct_children(self):
         family = MetricRegistry().counter("io", labelnames=("device",))
-        family.labels(device="ssd").inc()
+        family.labels(device="ssd").set_function(lambda: 1)
         assert family.labels(device="hdd").value == 0
 
     def test_wrong_labelnames_rejected(self):
@@ -91,10 +104,10 @@ class TestRegistration:
 
     def test_get_and_snapshot(self):
         registry = MetricRegistry()
-        registry.counter("c").inc(2)
+        registry.counter("c").set_function(lambda: 2)
         registry.histogram("h").observe(1.0)
         family = registry.counter("f", labelnames=("x",))
-        family.labels(x="1").inc()
+        family.labels(x="1").set_function(lambda: 1)
         rows = registry.snapshot()
         by_name = {}
         for row in rows:
@@ -153,7 +166,8 @@ class TestNullRegistry:
         assert NULL_HISTOGRAM.labels(z="1") is NULL_HISTOGRAM
 
     def test_mutators_record_nothing(self):
-        NULL_COUNTER.inc(100)
+        NULL_COUNTER.set_function(lambda: 100)
+        NULL_COUNTER.collect(lambda: {("x",): 100})
         NULL_GAUGE.set(5)
         NULL_GAUGE.set_function(lambda: 9)
         NULL_HISTOGRAM.observe(3.0)

@@ -5,10 +5,13 @@ Every tracer call site in the engine is guarded by
 nor builds the per-event ``args`` dicts.  The counting double below
 fails the test on *any* call reaching a disabled tracer — a regression
 here silently taxes every untraced simulation.
+
+The registry has the same contract: counters read component state at
+export and histograms are pushed only when telemetry is on, so after
+construction an untraced run makes no registry call at all.
 """
 
 from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
-from repro.telemetry import NULL_REGISTRY
 
 
 class CountingNullTracer:
@@ -40,14 +43,48 @@ class CountingNullTracer:
         self.calls.append(("counter", name))
 
 
-class CountingNullTelemetry:
-    """Telemetry double: disabled, but the tracer tattles on callers."""
+class CountingNullInstrument:
+    """Duck-typed null instrument (counter, gauge, histogram or family)
+    that records every method called on it."""
+
+    def __init__(self, calls, name):
+        self._calls = calls
+        self._name = name
+
+    def __getattr__(self, method):
+        def record(*args, **kwargs):
+            self._calls.append((self._name, method))
+            return self
+        return record
+
+
+class CountingNullRegistry:
+    """Disabled registry whose factories and instruments record calls."""
 
     enabled = False
-    registry = NULL_REGISTRY
+
+    def __init__(self):
+        self.calls = []
+
+    def _factory(self, name, help_text="", labelnames=()):
+        self.calls.append((name, "register"))
+        return CountingNullInstrument(self.calls, name)
+
+    counter = gauge = histogram = _factory
+
+
+#: Calls that bind an instrument to component state at construction.
+REGISTRATION = {"register", "labels", "set_function", "collect"}
+
+
+class CountingNullTelemetry:
+    """Telemetry double: disabled, but tracer and registry tattle."""
+
+    enabled = False
 
     def __init__(self):
         self.tracer = CountingNullTracer()
+        self.registry = CountingNullRegistry()
 
     def set_clock(self, clock):
         pass
@@ -72,3 +109,19 @@ def test_untraced_tac_and_faultless_paths_silent():
         "tpce", 2, "TAC", duration=4.0, profile=SCALE_PROFILES["tiny"],
         nworkers=8, telemetry=telemetry)
     assert telemetry.tracer.calls == []
+
+
+def test_untraced_run_makes_no_registry_calls_after_construction():
+    """Only registration reaches the registry, and how much of it does
+    not depend on how long the run is: nothing is counted per event."""
+    calls = {}
+    for duration in (1.0, 4.0):
+        telemetry = CountingNullTelemetry()
+        result = run_oltp_experiment(
+            "tpcc", 20, "LC", duration=duration,
+            profile=SCALE_PROFILES["tiny"], nworkers=8,
+            checkpoint_interval=1.0, telemetry=telemetry)
+        assert result.total_metric_txns > 0
+        calls[duration] = telemetry.registry.calls
+    assert {method for _, method in calls[4.0]} <= REGISTRATION
+    assert calls[1.0] == calls[4.0]
