@@ -11,7 +11,7 @@ Scaling: the default profile preserves the paper's sizing ratios at
 profile for a quick smoke pass.
 
 Caching is two-level: an in-process dict (benches within one session
-share live results) backed by the on-disk run cache of
+share run records) backed by the on-disk run cache of
 :mod:`repro.harness.sweep` (results survive across sessions; the cache
 key covers the full config *and* the simulator sources, so a code change
 is an automatic miss).  ``REPRO_BENCH_NO_DISK_CACHE=1`` disables the
@@ -24,7 +24,8 @@ import os
 from typing import Dict
 
 from repro.harness.experiments import SCALE_PROFILES
-from repro.harness.sweep import RunSpec, run_cached
+from repro.harness.run import RunSpec
+from repro.harness.sweep import run_cached
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 PROFILE_NAME = "small" if FAST else "default"
@@ -52,7 +53,7 @@ _tpch_cache: Dict[tuple, object] = {}
 
 
 def oltp_run(benchmark: str, scale: int, design: str, **kwargs):
-    """Cached OLTP run with the bench-wide defaults."""
+    """Cached OLTP run with the bench-wide defaults (its RunRecord)."""
     key = (benchmark, scale, design, tuple(sorted(kwargs.items())))
     if key not in _oltp_cache:
         if benchmark == "tpcc":
@@ -83,13 +84,13 @@ def ramp_fraction(result, level: float = 0.8) -> float:
 
 
 def tpch_run(sf: int, design: str):
-    """Cached full TPC-H run (power + throughput)."""
+    """Cached full TPC-H run (power + throughput): its TpchResult."""
     key = (sf, design)
     if key not in _tpch_cache:
         spec = RunSpec(kind="tpch", benchmark="tpch", scale=sf,
                        design=design, profile=PROFILE_NAME,
                        checkpoint_interval=CHECKPOINT_40MIN)
-        _tpch_cache[key] = run_cached(spec, use_cache=DISK_CACHE)
+        _tpch_cache[key] = run_cached(spec, use_cache=DISK_CACHE).tpch
     return _tpch_cache[key]
 
 

@@ -37,8 +37,8 @@ def test_tac_wastes_ssd_space_on_invalid_pages(benchmark):
         for scale in (1_000, 2_000):
             tac = oltp_run("tpcc", scale, "TAC")
             dw = oltp_run("tpcc", scale, "DW")
-            out[scale] = (tac.system.ssd_manager.table.invalid_count,
-                          dw.system.ssd_manager.table.invalid_count)
+            out[scale] = (tac.ssd["invalid_count"],
+                          dw.ssd["invalid_count"])
         return out
 
     waste = once(benchmark, run)
@@ -74,7 +74,7 @@ def test_tac_latch_contention_exceeds_ours(benchmark):
     results = once(benchmark, run)
     admission_wait = {}
     for design, result in results.items():
-        stats = result.system.bp.stats
+        stats = result.bp
         txns = max(1, sum(result.txn_counts.values()))
         admission_wait[design] = (
             stats.latch_wait_by_reason.get("admission-write", 0.0)

@@ -32,7 +32,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.harness.sweep import RunSpec, execute
+from repro.harness.run import RunSpec, execute
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 MEASURED_PATH = BENCH_PATH.with_name("BENCH_engine.measured.json")

@@ -28,13 +28,12 @@ def test_fig6_tpcc_cleaner_activates_at_lambda_crossing(benchmark):
     print()
     print(format_series("Figure 6(a) analog — TPC-C 2K, LC tpmC over time",
                         series[:30], "t(s)", "tpmC"))
-    manager = result.system.ssd_manager
-    limit = manager.config.dirty_limit_frames
-    cross = result.sampler.dirty_cross_time(limit)
+    limit = result.ssd["dirty_limit_frames"]
+    cross = result.dirty_cross_time(limit)
     assert cross < float("inf"), "dirty fraction never crossed lambda"
     # The cleaner is the mechanism behind the paper's drop: it must be
     # inactive before the crossing and busy after it.
-    assert manager.stats.cleaner_pages > 0
+    assert result.ssd_stats.cleaner_pages > 0
     # After the crossing the system pays the cleaner tax: throughput
     # plateaus — the tail must not exceed the peak.
     rates = [rate for _, rate in series]
@@ -42,7 +41,7 @@ def test_fig6_tpcc_cleaner_activates_at_lambda_crossing(benchmark):
     tail = sum(rates[-5:]) / 5
     print(f"\nlambda crossed at t={cross - result.start_time:.0f}s, "
           f"peak {peak:,.0f}, tail {tail:,.0f}, "
-          f"cleaner wrote {manager.stats.cleaner_pages:,} pages")
+          f"cleaner wrote {result.ssd_stats.cleaner_pages:,} pages")
     assert tail <= peak * 1.02
 
 
@@ -51,8 +50,8 @@ def test_fig6_tpcc_larger_db_crosses_no_earlier(benchmark):
         out = {}
         for scale in (2_000, 4_000):
             result = oltp_run("tpcc", scale, "LC")
-            limit = result.system.ssd_manager.config.dirty_limit_frames
-            out[scale] = (result.sampler.dirty_cross_time(limit)
+            limit = result.ssd["dirty_limit_frames"]
+            out[scale] = (result.dirty_cross_time(limit)
                           - result.start_time)
         return out
 
@@ -90,9 +89,9 @@ def test_fig6_tpce_40k_fills_ssd_faster_than_20k(benchmark):
         for scale in (20, 40):
             result = oltp_run("tpce", scale, "DW",
                               checkpoint_interval=CHECKPOINT_40MIN)
-            used = result.sampler.samples[-1].ssd_used
+            used = result.samples[-1].ssd_used
             threshold = int(used * 0.8)
-            fills[scale] = (result.sampler.fill_time(threshold)
+            fills[scale] = (result.fill_time(threshold)
                             - result.start_time) / max(used, 1)
         return fills
 

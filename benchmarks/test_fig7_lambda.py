@@ -32,9 +32,9 @@ def test_fig7_lambda_sweep(benchmark):
     results = once(benchmark, run_sweep)
     throughputs = {lam: r.steady_state_throughput()
                    for lam, r in results.items()}
-    dirty = {lam: r.system.ssd_manager.dirty_frames
+    dirty = {lam: r.ssd["dirty_frames"]
              for lam, r in results.items()}
-    cleaner = {lam: r.system.ssd_manager.stats.cleaner_pages
+    cleaner = {lam: r.ssd_stats.cleaner_pages
                for lam, r in results.items()}
     rows = [
         [f"{lam:.0%}", f"{throughputs[lam]:,.0f}", f"{dirty[lam]:,}",
@@ -60,8 +60,8 @@ def test_fig7_cleaner_is_busy_at_low_lambda(benchmark):
     """At λ=10% the cleaner runs continuously — its sustained write-back
     rate is in the paper's hundreds-of-IOPS band."""
     result = once(benchmark, lambda: run_sweep()[0.10])
-    manager = result.system.ssd_manager
-    rate = manager.stats.cleaner_pages / result.duration
-    print(f"\ncleaner wrote {manager.stats.cleaner_pages:,} pages "
+    cleaned = result.ssd_stats.cleaner_pages
+    rate = cleaned / result.duration
+    print(f"\ncleaner wrote {cleaned:,} pages "
           f"({rate:,.0f} pages/s; paper measured 950 IOPS at lambda=10%)")
     assert rate > 50

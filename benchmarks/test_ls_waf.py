@@ -17,7 +17,8 @@ channels, so sequentiality costs no parallelism.
 import os
 
 from benchmarks.common import DISK_CACHE, once
-from repro.harness.sweep import RunSpec, run_cached
+from repro.harness.run import RunSpec
+from repro.harness.sweep import run_cached
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 DURATION = 12.0 if FAST else 30.0
@@ -35,9 +36,9 @@ def test_ls_write_amplification_vs_lc(benchmark):
         return {design: ftl_run(design) for design in ("LC", "LS")}
 
     results = once(benchmark, run)
-    waf = {d: r.system.ssd_device.ftl.waf for d, r in results.items()}
+    waf = {d: r.ftl["waf"] for d, r in results.items()}
     tput = {d: r.steady_state_throughput() for d, r in results.items()}
-    nand = {d: r.system.ssd_device.ftl.stats.nand_writes
+    nand = {d: r.ftl["nand_writes"]
             for d, r in results.items()}
     print()
     print("Flash write amplification — TPC-C 1.2K warehouses (--ftl)")

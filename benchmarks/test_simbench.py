@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.sim import Environment, WheelEnvironment
 
 from benchmarks.common import FAST, OLTP_DURATION, PROFILE_NAME
-from repro.harness.sweep import RunSpec, execute
+from repro.harness.run import RunSpec, execute
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 MEASURED_PATH = BENCH_PATH.with_name("BENCH_sim.measured.json")

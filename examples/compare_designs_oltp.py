@@ -11,12 +11,9 @@ Run:  python examples/compare_designs_oltp.py  [--benchmark tpce]
 
 import argparse
 
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    run_oltp_experiment,
-    speedup_over_nossd,
-)
+from repro.harness.experiments import speedup_over_nossd
 from repro.harness.report import format_table
+from repro.harness.run import RunRecord, RunSpec, execute
 
 DESIGNS = ("noSSD", "CW", "DW", "LC", "TAC")
 
@@ -31,15 +28,16 @@ def main():
                         help="virtual seconds per run")
     args = parser.parse_args()
     scale = args.scale or (400 if args.benchmark == "tpcc" else 8)
-    profile = SCALE_PROFILES["small"]
 
     results = {}
     for design in DESIGNS:
-        result = run_oltp_experiment(
-            args.benchmark, scale, design, duration=args.duration,
-            profile=profile, nworkers=16,
+        spec = RunSpec(
+            kind="oltp", benchmark=args.benchmark, scale=scale,
+            design=design, profile="small", duration=args.duration,
+            nworkers=16,
             checkpoint_interval=(args.duration / 3
                                  if args.benchmark == "tpce" else None))
+        result = RunRecord.of(spec, execute(spec))
         results[design] = result
         print(f"ran {design:6s} -> {result.metric_name} "
               f"{result.steady_state_throughput():,.1f}")
@@ -49,14 +47,13 @@ def main():
     rows = []
     for design in DESIGNS:
         result = results[design]
-        manager = result.system.ssd_manager
         rows.append([
             design,
             f"{throughputs[design]:,.1f}",
             f"{speedups[design]:.2f}x",
-            f"{result.system.bp.stats.ssd_hit_rate:.1%}",
-            f"{manager.used_frames:,}",
-            f"{manager.table.invalid_count:,}",
+            f"{result.bp.ssd_hit_rate:.1%}",
+            f"{result.ssd['used_frames']:,}",
+            f"{result.ssd['invalid_count']:,}",
         ])
     print()
     print(format_table(

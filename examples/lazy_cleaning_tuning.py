@@ -9,29 +9,27 @@ trajectory so the λ-crossing (the Figure 6 throughput drop) is visible.
 Run:  python examples/lazy_cleaning_tuning.py
 """
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
 from repro.harness.report import format_series, format_table
+from repro.harness.run import RunRecord, RunSpec, execute
 
 
 def main():
-    profile = SCALE_PROFILES["small"]
-    duration = 24.0
     results = {}
     for lam in (0.10, 0.50, 0.90):
-        results[lam] = run_oltp_experiment(
-            "tpcc", 800, "LC", duration=duration, profile=profile,
-            nworkers=16, dirty_threshold=lam)
+        spec = RunSpec(kind="oltp", benchmark="tpcc", scale=800,
+                       design="LC", profile="small", duration=24.0,
+                       nworkers=16, dirty_threshold=lam)
+        results[lam] = RunRecord.of(spec, execute(spec))
         print(f"ran lambda={lam:.0%}")
 
     rows = []
     for lam, result in results.items():
-        manager = result.system.ssd_manager
         rows.append([
             f"{lam:.0%}",
             f"{result.steady_state_throughput():,.0f}",
-            f"{manager.dirty_frames:,}",
-            f"{manager.stats.cleaner_pages:,}",
-            f"{manager.stats.cleaner_ios:,}",
+            f"{result.ssd['dirty_frames']:,}",
+            f"{result.ssd_stats.cleaner_pages:,}",
+            f"{result.ssd_stats.cleaner_ios:,}",
         ])
     print()
     print(format_table(
@@ -45,7 +43,7 @@ def main():
     result = results[0.50]
     trajectory = [
         (sample.time - result.start_time, 100 * sample.ssd_dirty_fraction)
-        for sample in result.sampler.samples
+        for sample in result.samples
     ]
     print()
     print(format_series("SSD dirty fraction over time (λ=50%)",

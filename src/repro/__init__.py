@@ -11,14 +11,16 @@ Subpackages:
 * :mod:`repro.core` — the paper's contribution: the SSD manager and the
   CW / DW / LC / TAC designs.
 * :mod:`repro.workloads` — TPC-C-, TPC-E- and TPC-H-like generators.
-* :mod:`repro.harness` — system assembly, workload runner, and the
-  per-table/figure experiment registry.
+* :mod:`repro.harness` — system assembly, workload runner, and the one
+  run path every experiment takes.
 
 The most convenient entry points::
 
     from repro.harness.system import System, SystemConfig
-    from repro.harness.experiments import (
-        run_oltp_experiment, run_tpch_experiment)
+    from repro.harness.run import RunRecord, RunSpec, execute
+
+    spec = RunSpec(kind="oltp", benchmark="tpcc", scale=100, design="LC")
+    record = RunRecord.of(spec, execute(spec))
 """
 
 __version__ = "1.0.0"

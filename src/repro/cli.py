@@ -17,9 +17,12 @@ Commands:
 * ``lint``    — run the repo-specific AST invariant checker
   (``repro.statics``) over the sources.
 
-``oltp``/``tpch``/``sweep``/``chaos``/``analyze --bench`` record into
-the run store by default (``--db`` to point elsewhere, ``--no-db`` to
-skip); recording is best-effort and never fails the run.
+Each experiment subcommand turns its flags into run specs, runs them
+through :func:`repro.harness.run.execute`, and renders their run
+records (:mod:`repro.harness.run`).
+``oltp``/``traffic``/``tpch``/``sweep``/``chaos``/``analyze --bench``
+record into the run store by default (``--db`` to point elsewhere,
+``--no-db`` to skip); recording is best-effort and never fails the run.
 """
 
 from __future__ import annotations
@@ -31,14 +34,10 @@ from typing import List, Optional
 
 from repro.core import DESIGNS
 from repro.faults import FaultPlan
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    run_oltp_experiment,
-    run_tpch_experiment,
-    run_traffic_experiment,
-    speedup_over_nossd,
-)
+from repro.harness.experiments import SCALE_PROFILES, speedup_over_nossd
 from repro.harness.report import format_metrics, format_table
+from repro.harness.run import RunRecord, RunSpec, execute
+from repro.harness.sweep import Recorder
 from repro.sim import KERNELS
 from repro.telemetry import Telemetry
 
@@ -130,6 +129,71 @@ def _emit_telemetry(args, design: str, telemetry: Optional[Telemetry],
         print(format_metrics(telemetry.registry, title=f"Metrics — {design}"))
 
 
+def _parse_designs(text: str) -> Optional[List[str]]:
+    """The ``--designs`` list, or None (reason on stderr) when it names
+    an unknown design or none at all."""
+    designs = [d.strip() for d in text.split(",") if d.strip()]
+    unknown = [d for d in designs if d not in DESIGNS]
+    if unknown:
+        print(f"unknown designs: {unknown}; try `python -m repro designs`",
+              file=sys.stderr)
+        return None
+    if not designs:
+        print("need at least one design", file=sys.stderr)
+        return None
+    return designs
+
+
+#: RunSpec fields set by the same-named flag, where a subcommand has it.
+_SPEC_FLAGS = ("profile", "duration", "seed", "dirty_threshold",
+               "checkpoint_interval", "ftl", "partitions", "latch_us",
+               "kernel", "queue_limit", "tenants", "faults")
+
+
+def _specs(args, kind: str, benchmark: str, scales: List[int],
+           designs: List[str], **fields) -> List[RunSpec]:
+    """The scale x design grid of specs the subcommand's flags (and
+    ``fields``) describe; the rest keep RunSpec's defaults."""
+    settings = {name: getattr(args, name)
+                for name in _SPEC_FLAGS if hasattr(args, name)}
+    settings.update(fields)
+    return [RunSpec(kind=kind, benchmark=benchmark, scale=scale,
+                    design=design, **settings)
+            for scale in scales for design in designs]
+
+
+def _execute_all(args, specs: List[RunSpec]) -> List[RunRecord]:
+    """Run every spec live, in order: record it into the run store,
+    report its device outcomes on stderr, and write its telemetry."""
+    store = _open_recording_store(args)
+    recorder = Recorder(store, lambda message: print(message,
+                                                     file=sys.stderr))
+    records = []
+    for spec in specs:
+        telemetry = _make_telemetry(args)
+        record = RunRecord.of(spec, execute(spec, telemetry=telemetry))
+        recorder.record(record)
+        records.append(record)
+        design = spec.design
+        print(f"ran {design}", file=sys.stderr)
+        ftl = record.ftl
+        if ftl is not None:
+            print(f"ftl[{design}]: host_writes={ftl['host_writes']} "
+                  f"nand_writes={ftl['nand_writes']} erases={ftl['erases']} "
+                  f"waf={ftl['waf']:.3f} wear_spread={ftl['wear_spread']}",
+                  file=sys.stderr)
+        if spec.faults:
+            print(f"faults[{design}]: injected={record.faults} "
+                  f"ssd_detached={record.ssd['detached']} "
+                  f"retries={record.ssd_stats.io_retries} "
+                  f"degrade_redo={record.ssd_stats.detach_redo_pages}",
+                  file=sys.stderr)
+        _emit_telemetry(args, design, telemetry, len(specs) > 1)
+    if store is not None:
+        store.close()
+    return records
+
+
 def cmd_iometer(args) -> int:
     """Regenerate the paper's Table 1 with the device models."""
     from repro.storage.iometer import run_table1
@@ -153,11 +217,8 @@ def cmd_designs(args) -> int:
 
 def cmd_oltp(args) -> int:
     """Run an OLTP experiment across designs and print the table."""
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _parse_designs(args.designs)
+    if designs is None:
         return 2
     error = _validate_trace(args)
     if error:
@@ -170,66 +231,29 @@ def cmd_oltp(args) -> int:
         except ValueError as exc:
             print(f"--faults: {exc}", file=sys.stderr)
             return 2
-    profile = SCALE_PROFILES[args.profile]
-    store = _open_recording_store(args)
-    results = {}
-    for design in designs:
-        telemetry = _make_telemetry(args)
-        # Each design gets its own plan instance: injectors bind to one
-        # system's devices.
-        faults = FaultPlan.parse(args.faults) if args.faults else None
-        results[design] = run_oltp_experiment(
-            args.benchmark, args.scale, design, duration=args.duration,
-            profile=profile, nworkers=args.workers,
-            dirty_threshold=args.dirty_threshold,
-            checkpoint_interval=args.checkpoint_interval,
-            ftl=args.ftl, partitions=args.partitions,
-            latch_us=args.latch_us, kernel=args.kernel,
-            telemetry=telemetry, faults=faults,
-            store=store)
-        print(f"ran {design}", file=sys.stderr)
-        system = results[design].system
-        ftl = getattr(system.ssd_device, "ftl", None)
-        if ftl is not None:
-            stats = ftl.stats
-            print(f"ftl[{design}]: host_writes={stats.host_writes} "
-                  f"nand_writes={stats.nand_writes} erases={stats.erases} "
-                  f"waf={ftl.waf:.3f} wear_spread={ftl.wear_spread}",
-                  file=sys.stderr)
-        if faults:
-            injected = {
-                role: dict(inj.stats)
-                for role, inj in sorted(faults.injectors.items()) if inj.stats}
-            detached = system.ssd_manager.detached
-            print(f"faults[{design}]: injected={injected} "
-                  f"ssd_detached={detached} "
-                  f"retries={system.ssd_manager.stats.io_retries} "
-                  f"degrade_redo={system.ssd_manager.stats.detach_redo_pages}",
-                  file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
-    throughputs = {d: r.steady_state_throughput()
-                   for d, r in results.items()}
+    records = _execute_all(args, _specs(args, "oltp", args.benchmark,
+                                        [args.scale], designs,
+                                        nworkers=args.workers))
+    throughputs = {r.spec.design: r.steady_state_throughput()
+                   for r in records}
     speedups = speedup_over_nossd(throughputs)
-    metric = next(iter(results.values())).metric_name
     rows = []
-    for design in designs:
-        result = results[design]
-        manager = result.system.ssd_manager
+    for record in records:
+        design = record.spec.design
         rows.append([
             design,
             f"{throughputs[design]:,.1f}",
             (f"{speedups[design]:.2f}x" if "noSSD" in throughputs else "-"),
-            f"{result.system.bp.stats.ssd_hit_rate:.1%}",
-            f"{manager.used_frames:,}",
-            f"{manager.dirty_frames:,}",
+            f"{record.bp.ssd_hit_rate:.1%}",
+            f"{record.ssd['used_frames']:,}",
+            f"{record.ssd['dirty_frames']:,}",
         ])
     print(format_table(
         f"{args.benchmark.upper()} scale={args.scale} "
         f"({args.duration:.0f} virtual s, profile={args.profile})",
-        ["design", metric, "speedup", "SSD hit", "SSD used", "SSD dirty"],
+        ["design", records[0].metric_name, "speedup", "SSD hit",
+         "SSD used", "SSD dirty"],
         rows))
-    if store is not None:
-        store.close()
     return 0
 
 
@@ -237,66 +261,47 @@ def cmd_traffic(args) -> int:
     """Run an open-loop multi-tenant experiment across designs."""
     from repro.workloads.traffic import parse_tenants
 
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _parse_designs(args.designs)
+    if designs is None:
         return 2
     error = _validate_trace(args)
     if error:
         print(error, file=sys.stderr)
         return 2
     try:
-        tenants = parse_tenants(args.tenants)
+        parse_tenants(args.tenants)
     except ValueError as exc:
         print(f"--tenants: {exc}", file=sys.stderr)
         return 2
-    profile = SCALE_PROFILES[args.profile]
-    store = _open_recording_store(args)
-    results = {}
-    for design in designs:
-        telemetry = _make_telemetry(args)
-        results[design] = run_traffic_experiment(
-            args.benchmark, args.scale, design, tenants,
-            duration=args.duration, profile=profile,
-            nworkers=args.workers, queue_limit=args.queue_limit,
-            dirty_threshold=args.dirty_threshold,
-            checkpoint_interval=args.checkpoint_interval,
-            partitions=args.partitions, latch_us=args.latch_us,
-            ftl=args.ftl,
-            kernel=args.kernel, seed=args.seed,
-            telemetry=telemetry, store=store)
-        print(f"ran {design}", file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
-    first = next(iter(results.values()))
-    users = first.logical_users
+    records = _execute_all(args, _specs(args, "traffic", args.benchmark,
+                                        [args.scale], designs,
+                                        nworkers=args.workers))
+    first = records[0]
     rows = []
-    for design in designs:
-        result = results[design]
+    for record in records:
         rows.append([
-            design,
-            f"{result.steady_state_throughput():,.1f}",
-            f"{result.offered:,}",
-            f"{result.shed_fraction:.1%}",
-            f"{result.queue_wait_percentile(99) * 1e3:,.2f}",
-            f"{result.latencies.percentile(99) * 1e3:,.2f}",
+            record.spec.design,
+            f"{record.steady_state_throughput():,.1f}",
+            f"{record.offered:,}",
+            f"{record.shed_fraction:.1%}",
+            f"{record.queue_wait_percentile(99) * 1e3:,.2f}",
+            f"{record.latencies.percentile(99) * 1e3:,.2f}",
         ])
     print(format_table(
         f"open-loop {args.benchmark.upper()} scale={args.scale} "
-        f"({users:,.0f} logical users, {args.duration:.0f} virtual s, "
+        f"({first.logical_users:,.0f} logical users, "
+        f"{args.duration:.0f} virtual s, "
         f"workers={args.workers}, kernel={args.kernel})",
         ["design", first.metric_name, "offered", "shed",
          "qwait p99 (ms)", "p99 (ms)"], rows))
     tenant_rows = []
-    for design in designs:
-        result = results[design]
-        for name, stats in result.tenants.items():
+    for record in records:
+        for name, stats in record.tenants.items():
             tenant_rows.append([
-                design, name,
+                record.spec.design, name,
                 f"{stats.offered:,}",
                 f"{stats.shed_fraction:.1%}",
-                f"{stats.throughput(result.duration):,.1f}",
+                f"{stats.throughput(record.duration):,.1f}",
                 f"{stats.queue_waits.percentile(99) * 1e3:,.2f}",
                 f"{stats.latencies.percentile(99) * 1e3:,.2f}",
             ])
@@ -305,8 +310,6 @@ def cmd_traffic(args) -> int:
         "per-tenant isolation",
         ["design", "tenant", "offered", "shed", "txn/s",
          "qwait p99 (ms)", "p99 (ms)"], tenant_rows))
-    if store is not None:
-        store.close()
     return 0
 
 
@@ -318,11 +321,8 @@ def cmd_chaos(args) -> int:
         format_sweep_table,
     )
 
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _parse_designs(args.designs)
+    if designs is None:
         return 2
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     bad = [p for p in policies if p not in ("sharp", "fuzzy")]
@@ -359,18 +359,10 @@ def cmd_sweep(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.harness.sweep import (
-        RunSpec,
-        progress_printer,
-        run_sweep,
-        summarize,
-    )
+    from repro.harness.sweep import progress_printer, run_sweep, summarize
 
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    unknown = [d for d in designs if d not in DESIGNS]
-    if unknown:
-        print(f"unknown designs: {unknown}; try `python -m repro designs`",
-              file=sys.stderr)
+    designs = _parse_designs(args.designs)
+    if designs is None:
         return 2
     try:
         scales = [int(s) for s in args.scales.split(",") if s.strip()]
@@ -378,21 +370,13 @@ def cmd_sweep(args) -> int:
         print(f"--scales must be comma-separated integers, "
               f"got {args.scales!r}", file=sys.stderr)
         return 2
-    if not scales or not designs:
-        print("sweep: need at least one scale and one design",
-              file=sys.stderr)
+    if not scales:
+        print("sweep: need at least one scale", file=sys.stderr)
         return 2
 
     kind = "tpch" if args.benchmark == "tpch" else "oltp"
-    specs = [
-        RunSpec(kind=kind, benchmark=args.benchmark, scale=scale,
-                design=design, profile=args.profile,
-                duration=args.duration, nworkers=args.workers_per_run,
-                dirty_threshold=args.dirty_threshold,
-                checkpoint_interval=args.checkpoint_interval,
-                ftl=args.ftl, seed=args.seed)
-        for scale in scales for design in designs
-    ]
+    specs = _specs(args, kind, args.benchmark, scales, designs,
+                   nworkers=args.workers_per_run)
     directory = Path(args.cache_dir) if args.cache_dir else None
     store = _open_recording_store(args)
     report = run_sweep(specs, workers=args.workers, directory=directory,
@@ -425,26 +409,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_tpch(args) -> int:
     """Run the TPC-H power + throughput tests across designs."""
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
+    designs = _parse_designs(args.designs)
+    if designs is None:
+        return 2
     error = _validate_trace(args)
     if error:
         print(error, file=sys.stderr)
         return 2
-    profile = SCALE_PROFILES[args.profile]
-    store = _open_recording_store(args)
+    records = _execute_all(args, _specs(args, "tpch", "tpch", [args.sf],
+                                        designs))
     rows = []
-    for design in designs:
-        telemetry = _make_telemetry(args)
-        result = run_tpch_experiment(args.sf, design, profile=profile,
-                                     telemetry=telemetry, store=store)
-        rows.append([design, f"{result.power:,.0f}",
-                     f"{result.throughput:,.0f}", f"{result.qphh:,.0f}"])
-        print(f"ran {design}", file=sys.stderr)
-        _emit_telemetry(args, design, telemetry, len(designs) > 1)
+    for record in records:
+        tpch = record.tpch
+        assert tpch is not None
+        rows.append([record.spec.design, f"{tpch.power:,.0f}",
+                     f"{tpch.throughput:,.0f}", f"{tpch.qphh:,.0f}"])
     print(format_table(f"TPC-H @{args.sf} SF (profile={args.profile})",
                        ["design", "QppH", "QthH", "QphH"], rows))
-    if store is not None:
-        store.close()
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Experiment harness: system assembly, workload driving, and the
-per-table/figure experiment registry that regenerates the paper's
-evaluation section."""
+"""Experiment harness: system assembly, workload driving, and the one
+run path (:class:`RunSpec` -> :func:`execute` -> :class:`RunRecord`)
+that regenerates the paper's evaluation section."""
 
 from repro.harness.system import System, SystemConfig
 from repro.harness.runner import (OpenLoopRunner, RunResult,
@@ -13,13 +13,8 @@ from repro.harness.crashpoints import (
     crash_point_sweep,
     format_sweep_table,
 )
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    ScaleProfile,
-    run_oltp_experiment,
-    run_tpch_experiment,
-    run_traffic_experiment,
-)
+from repro.harness.experiments import SCALE_PROFILES, ScaleProfile
+from repro.harness.run import RunRecord, RunSpec, execute
 from repro.harness.report import format_series, format_table
 
 __all__ = [
@@ -27,7 +22,9 @@ __all__ = [
     "CrashSweepConfig",
     "CrashSweepResult",
     "OpenLoopRunner",
+    "RunRecord",
     "RunResult",
+    "RunSpec",
     "crash_point_sweep",
     "format_sweep_table",
     "SCALE_PROFILES",
@@ -37,9 +34,7 @@ __all__ = [
     "TenantStats",
     "SystemConfig",
     "WorkloadRunner",
+    "execute",
     "format_series",
     "format_table",
-    "run_oltp_experiment",
-    "run_tpch_experiment",
-    "run_traffic_experiment",
 ]

@@ -1,7 +1,7 @@
-"""The experiment registry: one entry point per paper table/figure.
+"""Experiment sizing and assembly: scale profiles, workload and
+system builders (:func:`repro.harness.run.execute` drives them).
 
-Every experiment below corresponds to a row of the experiment index in
-DESIGN.md.  The scaled sizing preserves the paper's ratios:
+The scaled sizing preserves the paper's ratios:
 
 =====================  ===============  ====================
 Paper                  Scaled (default)  Ratio preserved
@@ -16,17 +16,14 @@ Paper                  Scaled (default)  Ratio preserved
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core import SsdDesignConfig
-from repro.harness.runner import OpenLoopRunner, RunResult, WorkloadRunner
 from repro.harness.system import System, SystemConfig
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.tpce import TpceWorkload
-from repro.workloads.tpch import TpchResult, TpchWorkload
-from repro.workloads.traffic import parse_tenants
+from repro.workloads.tpch import TpchWorkload
 
 
 @dataclass(frozen=True)
@@ -62,43 +59,6 @@ SCALE_PROFILES: Dict[str, ScaleProfile] = {
 
 #: The paper's per-benchmark λ settings (Table 2).
 PAPER_LAMBDA = {"tpcc": 0.50, "tpce": 0.01, "tpch": 0.01}
-
-
-def profile_name(profile: ScaleProfile) -> str:
-    """The registry name of a profile (``"custom"`` if unregistered)."""
-    for name, known in SCALE_PROFILES.items():
-        if known == profile:
-            return name
-    return "custom"
-
-
-def _run_meta_args(design: str, benchmark: str, scale: int,
-                   duration: Optional[float],
-                   seed: Optional[int] = None) -> Dict[str, Any]:
-    """The ``run_meta`` instant payload: run identity + provenance.
-
-    Provenance (git commit/branch/dirty, sweep source hash) rides on
-    the trace so a JSONL file answers "which code produced this?"
-    exactly like a run-store row does.
-    """
-    from repro.runstore.provenance import provenance_args
-
-    meta: Dict[str, Any] = {"design": design, "benchmark": benchmark,
-                            "scale": scale, "duration": duration}
-    if seed is not None:
-        meta["seed"] = seed
-    meta.update(provenance_args())
-    return meta
-
-
-def _record(store: Any, spec: Dict[str, Any], result: Any) -> None:
-    """Best-effort run-store recording for one experiment."""
-    from repro.runstore.store import StoreError
-
-    try:
-        store.record_result(spec, result)
-    except StoreError as exc:
-        print(f"runstore: {exc}; run not recorded", file=sys.stderr)
 
 
 def make_workload(benchmark: str, scale: int, profile: ScaleProfile,
@@ -168,156 +128,6 @@ def make_system(benchmark: str, workload, design: str,
         bp_latch_us=latch_us,
     )
     return System(config, telemetry=telemetry, faults=faults)
-
-
-def run_oltp_experiment(benchmark: str, scale: int, design: str,
-                        duration: float = 60.0,
-                        profile: Optional[ScaleProfile] = None,
-                        dirty_threshold: Optional[float] = None,
-                        checkpoint_interval: Optional[float] = None,
-                        nworkers: int = 32,
-                        bucket_seconds: float = 2.0,
-                        expand_reads: bool = False,
-                        ftl: bool = False,
-                        partitions: Optional[int] = None,
-                        latch_us: float = 0.0,
-                        kernel: str = "heap",
-                        seed: int = 20110612,
-                        telemetry=None, faults=None,
-                        store=None) -> RunResult:
-    """One OLTP run: the building block of Figures 5–9.
-
-    The paper runs TPC-C with checkpointing effectively off and λ=50%,
-    TPC-E with 40-minute checkpoints and λ=1% — callers pass the analog
-    (a ``checkpoint_interval`` scaled to the run duration).
-
-    ``store`` (a :class:`repro.runstore.RunStore`) records the finished
-    run with full provenance; recording failures warn and never fail
-    the experiment.
-    """
-    profile = profile or SCALE_PROFILES["default"]
-    workload = make_workload(benchmark, scale, profile)
-    system = make_system(benchmark, workload, design, profile,
-                         dirty_threshold=dirty_threshold,
-                         checkpoint_interval=checkpoint_interval,
-                         expand_reads=expand_reads, ftl=ftl,
-                         partitions=partitions, latch_us=latch_us,
-                         kernel=kernel,
-                         telemetry=telemetry, faults=faults)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        tracer.instant("run_meta", "meta", "meta",
-                       _run_meta_args(design, benchmark, scale, duration,
-                                      seed=seed))
-    runner = WorkloadRunner(system, workload, nworkers=nworkers,
-                            bucket_seconds=bucket_seconds, seed=seed)
-    result = runner.run(duration)
-    if store is not None:
-        _record(store, {
-            "kind": "oltp", "benchmark": benchmark, "scale": scale,
-            "design": design, "profile": profile_name(profile),
-            "duration": duration, "nworkers": nworkers,
-            "bucket_seconds": bucket_seconds, "seed": seed,
-            "dirty_threshold": dirty_threshold,
-            "checkpoint_interval": checkpoint_interval,
-            "expand_reads": expand_reads, "ftl": ftl,
-            "partitions": partitions, "latch_us": latch_us,
-            "kernel": kernel,
-            "faulted": faults is not None,
-        }, result)
-    return result
-
-
-def run_traffic_experiment(benchmark: str, scale: int, design: str,
-                           tenants, duration: float = 60.0,
-                           profile: Optional[ScaleProfile] = None,
-                           nworkers: int = 64,
-                           queue_limit: int = 10_000,
-                           bucket_seconds: float = 2.0,
-                           dirty_threshold: Optional[float] = None,
-                           checkpoint_interval: Optional[float] = None,
-                           partitions: Optional[int] = None,
-                           latch_us: float = 0.0,
-                           ftl: bool = False,
-                           kernel: str = "heap",
-                           seed: int = 20110612,
-                           telemetry=None, faults=None,
-                           store=None) -> RunResult:
-    """One open-loop multi-tenant run (ROADMAP item 1).
-
-    ``tenants`` is either a parsed list of
-    :class:`~repro.workloads.traffic.TenantSpec` or the CLI grammar
-    string (``name=poisson:rate=...:theta=...;...``).  Offered load is
-    set by the tenants' arrival rates — a run representing a million
-    logical users still uses ``nworkers`` simulated workers and at most
-    ``queue_limit`` queued arrivals.  ``partitions`` sweeps the
-    partition knob N (SSD buffer table and main-memory buffer pool
-    together) the isolation experiments measure against; ``latch_us``
-    models the buffer-pool partition-latch service time, which is what
-    makes the sweep move per-tenant tail latency.
-    """
-    profile = profile or SCALE_PROFILES["default"]
-    if isinstance(tenants, str):
-        tenants = parse_tenants(tenants)
-    workload = make_workload(benchmark, scale, profile)
-    system = make_system(benchmark, workload, design, profile,
-                         dirty_threshold=dirty_threshold,
-                         checkpoint_interval=checkpoint_interval,
-                         ftl=ftl, partitions=partitions,
-                         latch_us=latch_us, kernel=kernel,
-                         telemetry=telemetry, faults=faults)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        meta = _run_meta_args(design, benchmark, scale, duration, seed=seed)
-        meta["tenants"] = [spec.name for spec in tenants]
-        tracer.instant("run_meta", "meta", "meta", meta)
-    runner = OpenLoopRunner(system, workload, tenants,
-                            nworkers=nworkers, queue_limit=queue_limit,
-                            bucket_seconds=bucket_seconds, seed=seed)
-    result = runner.run(duration)
-    if store is not None:
-        _record(store, {
-            "kind": "traffic", "benchmark": benchmark, "scale": scale,
-            "design": design, "profile": profile_name(profile),
-            "duration": duration, "nworkers": nworkers,
-            "queue_limit": queue_limit,
-            "bucket_seconds": bucket_seconds, "seed": seed,
-            "dirty_threshold": dirty_threshold,
-            "checkpoint_interval": checkpoint_interval,
-            "partitions": partitions, "latch_us": latch_us,
-            "ftl": ftl, "kernel": kernel,
-            "tenants": ";".join(spec.name for spec in tenants),
-            "logical_users": result.logical_users,
-            "faulted": faults is not None,
-        }, result)
-    return result
-
-
-def run_tpch_experiment(sf: int, design: str,
-                        profile: Optional[ScaleProfile] = None,
-                        checkpoint_interval: Optional[float] = None,
-                        telemetry=None, store=None) -> TpchResult:
-    """One full TPC-H run (power + throughput): Figure 5(g–h), Table 3."""
-    profile = profile or SCALE_PROFILES["default"]
-    workload = make_workload("tpch", sf, profile)
-    system = make_system("tpch", workload, design, profile,
-                         checkpoint_interval=checkpoint_interval,
-                         telemetry=telemetry)
-    tracer = system.telemetry.tracer
-    if tracer.enabled:
-        tracer.instant("run_meta", "meta", "meta",
-                       _run_meta_args(design, "tpch", sf, None))
-    workload.setup(system)
-    system.start_services()
-    done = system.env.process(workload.full_run(system))
-    result = system.env.run(done)
-    if store is not None:
-        _record(store, {
-            "kind": "tpch", "benchmark": "tpch", "scale": sf,
-            "design": design, "profile": profile_name(profile),
-            "checkpoint_interval": checkpoint_interval,
-        }, result)
-    return result
 
 
 def speedup_over_nossd(results: Dict[str, float]) -> Dict[str, float]:

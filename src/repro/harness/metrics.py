@@ -13,7 +13,7 @@ so the occupancy/queue-depth series show up in a trace viewer), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.telemetry import NULL_TELEMETRY, percentile_of
 
@@ -145,20 +145,27 @@ class Sampler:
             yield system.env.timeout(self.interval)
 
     def fill_time(self, threshold_frames: int) -> float:
-        """First sample time at which the SSD held >= ``threshold_frames``
-        pages (inf if never) — the ramp-up measurement."""
-        for sample in self.samples:
-            if sample.ssd_used >= threshold_frames:
-                return sample.time
-        return float("inf")
+        """See :func:`fill_time`."""
+        return fill_time(self.samples, threshold_frames)
 
     def dirty_cross_time(self, threshold_frames: int) -> float:
-        """First sample time at which the SSD's dirty page count exceeded
-        ``threshold_frames`` (inf if never) — LC's λ-crossing."""
-        for sample in self.samples:
-            if sample.ssd_dirty > threshold_frames:
-                return sample.time
-        return float("inf")
+        """See :func:`dirty_cross_time`."""
+        return dirty_cross_time(self.samples, threshold_frames)
+
+
+def fill_time(samples: Sequence[Sample], threshold_frames: int) -> float:
+    """First sample time at which the SSD held >= ``threshold_frames``
+    pages (inf if never) — the ramp-up measurement."""
+    return next((sample.time for sample in samples
+                 if sample.ssd_used >= threshold_frames), float("inf"))
+
+
+def dirty_cross_time(samples: Sequence[Sample],
+                     threshold_frames: int) -> float:
+    """First sample time at which the SSD's dirty page count exceeded
+    ``threshold_frames`` (inf if never) — LC's λ-crossing."""
+    return next((sample.time for sample in samples
+                 if sample.ssd_dirty > threshold_frames), float("inf"))
 
 
 @dataclass
@@ -197,6 +204,21 @@ class TenantStats:
         """Completed transactions per second over ``duration``."""
         return self.completed / duration if duration > 0 else 0.0
 
+    def as_dict(self) -> Dict[str, Any]:
+        """Counters and samples as plain data (the run-record form)."""
+        return {"offered": self.offered, "shed": self.shed,
+                "completed": self.completed,
+                "latencies": self.latencies.as_dict(),
+                "queue_waits": self.queue_waits.as_dict()}
+
+    @classmethod
+    def from_dict(cls, name: str, data: Dict[str, Any]) -> "TenantStats":
+        """Inverse of :meth:`as_dict`."""
+        return cls(name=name, offered=data["offered"], shed=data["shed"],
+                   completed=data["completed"],
+                   latencies=LatencyTracker.from_dict(data["latencies"]),
+                   queue_waits=LatencyTracker.from_dict(data["queue_waits"]))
+
 
 class LatencyTracker:
     """Per-transaction-type latency distributions (virtual seconds).
@@ -211,10 +233,21 @@ class LatencyTracker:
     four times.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         self._samples: Dict[str, List[float]] = {}
         #: Sorted-sample cache, keyed by txn_type (None = merged view).
         self._sorted: Dict[Optional[str], List[float]] = {}
+
+    def as_dict(self) -> Dict[str, List[float]]:
+        """Samples by transaction type, in recording order."""
+        return {txn: list(values) for txn, values in self._samples.items()}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, List[float]]) -> "LatencyTracker":
+        """Inverse of :meth:`as_dict`."""
+        tracker = cls()
+        tracker._samples = {txn: list(values) for txn, values in data.items()}
+        return tracker
 
     def record(self, txn_type: str, latency: float) -> None:
         """Record one completed transaction's latency."""

@@ -82,7 +82,7 @@ def format_metrics(registry, title: str = "Metrics") -> str:
     render their count/mean/percentile summary inline.
     """
     rows = []
-    for row in registry.snapshot():
+    for row in registry.export():
         labels = ",".join(f'{k}="{v}"'
                           for k, v in sorted(row["labels"].items()))
         name = row["name"] + (f"{{{labels}}}" if labels else "")

@@ -21,28 +21,16 @@ from repro.sim import Store
 from repro.telemetry import NULL_TELEMETRY, percentile_of
 
 
-@dataclass
-class RunResult:
-    """Everything measured during one workload run."""
+class ResultView:
+    """The read API a live :class:`RunResult` and its plain-data
+    :class:`~repro.harness.run.RunRecord` share: the bucketed metric
+    series and the open-loop totals across tenants."""
 
-    design: str
-    metric_name: str
     duration: float
     bucket_seconds: float
     metric_window: float
-    start_time: float = 0.0
-    #: Metric-transaction completions per bucket.
-    buckets: List[int] = field(default_factory=list)
-    #: All transaction completions by type.
-    txn_counts: Dict[str, int] = field(default_factory=dict)
-    sampler: Optional[Sampler] = None
-    latencies: Optional[LatencyTracker] = None
-    system: Optional[System] = None
-    #: Per-tenant accounting, filled by :class:`OpenLoopRunner` (empty
-    #: for closed-loop runs).
-    tenants: Dict[str, TenantStats] = field(default_factory=dict)
-    #: Logical users the run's arrival rates represent (0 = closed-loop).
-    logical_users: float = 0.0
+    buckets: List[int]
+    tenants: Dict[str, TenantStats]
 
     @property
     def offered(self) -> int:
@@ -64,7 +52,7 @@ class RunResult:
         """q-th percentile admission-queue wait across all tenants."""
         merged: List[float] = []
         for tenant in self.tenants.values():
-            for values in tenant.queue_waits._samples.values():
+            for values in tenant.queue_waits.as_dict().values():
                 merged.extend(values)
         merged.sort()
         return percentile_of(merged, q)
@@ -117,6 +105,31 @@ class RunResult:
         tail = self.buckets[-take:]
         widths = self.bucket_widths()[-take:]
         return sum(tail) / sum(widths) * self.metric_window
+
+
+@dataclass
+class RunResult(ResultView):
+    """Everything measured during one workload run, with the live
+    simulator it ran on (see :class:`ResultView` for the read API)."""
+
+    design: str
+    metric_name: str
+    duration: float
+    bucket_seconds: float
+    metric_window: float
+    start_time: float = 0.0
+    #: Metric-transaction completions per bucket.
+    buckets: List[int] = field(default_factory=list)
+    #: All transaction completions by type.
+    txn_counts: Dict[str, int] = field(default_factory=dict)
+    sampler: Optional[Sampler] = None
+    latencies: Optional[LatencyTracker] = None
+    system: Optional[System] = None
+    #: Per-tenant accounting, filled by :class:`OpenLoopRunner` (empty
+    #: for closed-loop runs).
+    tenants: Dict[str, TenantStats] = field(default_factory=dict)
+    #: Logical users the run's arrival rates represent (0 = closed-loop).
+    logical_users: float = 0.0
 
 
 def _latency_family(system):

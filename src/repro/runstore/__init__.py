@@ -12,17 +12,16 @@ This package turns every harness run into a durable, queryable row:
   JSON API over the store;
 * :mod:`repro.runstore.cli`        — ``repro runs`` subcommands.
 
-Recording is wired into ``repro sweep`` / ``oltp`` / ``tpch`` /
-``chaos`` / ``analyze --bench`` by default and is always best-effort: a
-corrupted or locked database degrades to JSON-only output, never a
-failed run.
+Recording is wired into ``repro sweep`` / ``oltp`` / ``traffic`` /
+``tpch`` / ``chaos`` / ``analyze --bench`` by default and is always
+best-effort: a corrupted or locked database degrades to JSON-only
+output, never a failed run.
 """
 
 from repro.runstore.provenance import Provenance, capture, provenance_args
 from repro.runstore.schema import SCHEMA_VERSION, apply_migrations
 from repro.runstore.store import (DEFAULT_DB, RegressionFinding, RunStore,
-                                  StoreError, db_path, metrics_from_result,
-                                  open_store)
+                                  StoreError, db_path, open_store)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,7 +33,6 @@ __all__ = [
     "apply_migrations",
     "capture",
     "db_path",
-    "metrics_from_result",
     "open_store",
     "provenance_args",
 ]

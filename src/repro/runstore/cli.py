@@ -186,16 +186,17 @@ def cmd_runs_regress(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if not findings:
-        print(f"regress OK: {groups} grid cells within "
+        print(f"regress OK: {groups} specs within "
               f"{args.tolerance:.0%} of their last-{args.baseline} "
               f"baseline")
         return 0
-    rows = [[f.group_label, f.profile, f.metric,
+    rows = [[f"#{f.run_id}", f.group_label, f.profile, f.metric,
              f"{f.latest:,.4g}", f"{f.baseline:,.4g}", f"{f.ratio:.2f}x"]
             for f in findings]
     print(format_table(
-        f"REGRESSIONS — {len(findings)} finding(s) across {groups} cells",
-        ["grid cell", "profile", "metric", "latest", "baseline", "ratio"],
+        f"REGRESSIONS — {len(findings)} finding(s) across {groups} specs",
+        ["latest run", "grid cell", "profile", "metric", "latest",
+         "baseline", "ratio"],
         rows))
     return 1
 

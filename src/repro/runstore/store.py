@@ -30,11 +30,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.runstore.provenance import Provenance, capture
 from repro.runstore.schema import SchemaError, apply_migrations
+
+if TYPE_CHECKING:  # the harness imports the store lazily; no cycle
+    from repro.harness.run import RunRecord
 
 #: Default database file, overridable with ``REPRO_RUNSTORE``.
 DEFAULT_DB = ".repro-runs.db"
@@ -75,8 +78,13 @@ def open_store(path: Optional[Union[str, Path]] = None,
 
 @dataclass
 class RegressionFinding:
-    """One metric of one run group that worsened past tolerance."""
+    """One metric of one run group that worsened past tolerance.
 
+    ``run_id`` is the group's latest run: several specs can share one
+    grid cell, and ``repro runs show <run_id>`` tells them apart.
+    """
+
+    run_id: int
     kind: str
     benchmark: str
     scale: int
@@ -104,12 +112,28 @@ class RunStore:
             self._conn.isolation_level = None  # explicit transactions
             self._conn.execute(
                 f"PRAGMA busy_timeout = {int(timeout * 1000)}")
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            self._enable_wal()
             self._conn.execute("PRAGMA synchronous = NORMAL")
             self._conn.execute("PRAGMA foreign_keys = ON")
             apply_migrations(self._conn)
         except (sqlite3.Error, SchemaError) as exc:
             raise StoreError(f"{self.path}: {exc}") from exc
+
+    def _enable_wal(self, retries: int = 5, backoff: float = 0.05) -> None:
+        """Switch to WAL journaling, retrying a lock conflict.
+
+        When two connections open the same fresh file at once, the
+        switch can fail with "database is locked" without waiting out
+        the busy timeout; the loser backs off and tries again.
+        """
+        for attempt in range(retries):
+            try:
+                self._conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError:
+                if attempt == retries - 1:
+                    raise
+                time.sleep(backoff * (2 ** attempt))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -205,14 +229,14 @@ class RunStore:
                  if value is not None])
         return run_id
 
-    def record_result(self, spec: Dict[str, Any], result: Any,
+    def record_result(self, record: "RunRecord",
                       provenance: Optional[Provenance] = None,
                       status: str = "ok") -> int:
-        """Record a harness result object (OLTP ``RunResult`` or
-        ``TpchResult``, live or cache-restored — they duck-type alike)."""
-        metric_name, metrics = metrics_from_result(result)
-        return self.record_run(spec, metrics, provenance=provenance,
-                               status=status, metric_name=metric_name)
+        """Record a finished run: its spec row plus
+        :meth:`~repro.harness.run.RunRecord.metrics`."""
+        return self.record_run(record.spec.to_dict(), record.metrics(),
+                               provenance=provenance, status=status,
+                               metric_name=record.metric_name)
 
     def record_chaos(self, outcomes: Iterable[Any],
                      seed: Optional[int] = None,
@@ -407,14 +431,15 @@ class RunStore:
                 ) -> Tuple[List[RegressionFinding], int]:
         """Compare each group's newest run against its last-N baseline.
 
-        A *group* is one (kind, benchmark, scale, design, profile)
-        cell of the experiment grid.  For every group the latest run's
-        throughput (``value``), tail latency (``latency_p99``), and
-        write amplification (``waf``) are checked against the median of
-        the up-to-``baseline_n`` preceding runs; a metric that worsens
-        by more than ``tolerance`` (fractional) is a finding.  A group
-        with no history is compared against itself — trivially passing,
-        so a fresh database never fails the check.
+        A *group* is every run of one canonical spec (``spec_json``):
+        runs that differ in any recorded setting — duration, workers,
+        λ, faults, partitions, latch — are never compared.  For every
+        group the latest run's throughput (``value``), tail latency
+        (``latency_p99``), and write amplification (``waf``) are checked
+        against the median of the up-to-``baseline_n`` preceding runs; a
+        metric that worsens by more than ``tolerance`` (fractional) is a
+        finding.  A group with no history is compared against itself —
+        trivially passing, so a fresh database never fails the check.
 
         Returns ``(findings, groups_checked)``.
         """
@@ -424,17 +449,18 @@ class RunStore:
         where = (f"{where} AND {extra}" if where else f" WHERE {extra}")
         groups = self._rows(
             f"""
-            SELECT DISTINCT kind, benchmark, scale, design, profile
+            SELECT DISTINCT spec_json, kind, benchmark, scale, design,
+                   profile
             FROM runs{where}
-            ORDER BY benchmark, scale, design, profile
+            ORDER BY benchmark, scale, design, profile, spec_json
             """, params)
         findings: List[RegressionFinding] = []
         for group in groups:
-            runs = self.list_runs(
-                limit=baseline_n + 1, kind=group["kind"],
-                benchmark=group["benchmark"], scale=group["scale"],
-                design=group["design"], profile=group["profile"],
-                status="ok")
+            runs = self._rows(
+                """
+                SELECT id FROM runs WHERE spec_json = ? AND status = 'ok'
+                ORDER BY id DESC LIMIT ?
+                """, [group["spec_json"], baseline_n + 1])
             if not runs:
                 continue
             latest = self.metrics_for(runs[0]["id"])
@@ -456,92 +482,11 @@ class RunStore:
                              and current - baseline > 1e-9)
                 if worse:
                     findings.append(RegressionFinding(
-                        kind=group["kind"], benchmark=group["benchmark"],
+                        run_id=runs[0]["id"], kind=group["kind"],
+                        benchmark=group["benchmark"],
                         scale=group["scale"], design=group["design"],
                         profile=group["profile"], metric=metric,
                         latest=current, baseline=baseline,
                         ratio=(current / baseline if baseline else
                                float("inf"))))
         return findings, len(groups)
-
-
-# ----------------------------------------------------------------------
-# Result -> metrics extraction
-# ----------------------------------------------------------------------
-
-def metrics_from_result(result: Any) -> Tuple[str, Dict[str, float]]:
-    """Flatten a harness result into ``(metric_name, scalar metrics)``.
-
-    Duck-typed on purpose: live ``RunResult``/``TpchResult`` objects and
-    the sweep cache's restored stand-ins expose the same attributes, so
-    replayed cache hits record rows identical to live runs.
-    """
-    if hasattr(result, "qphh"):  # TPC-H
-        return "QphH", {
-            "value": float(result.qphh),
-            "power": float(result.power),
-            "throughput": float(result.throughput),
-        }
-
-    metrics: Dict[str, float] = {
-        "value": float(result.steady_state_throughput()),
-        "total_txns": float(result.total_metric_txns),
-    }
-    latencies = getattr(result, "latencies", None)
-    if latencies is not None and latencies.count():
-        summary = latencies.summary()
-        metrics["latency_mean"] = summary["mean"]
-        metrics["latency_p50"] = summary["p50"]
-        metrics["latency_p95"] = summary["p95"]
-        metrics["latency_p99"] = summary["p99"]
-
-    # Open-loop traffic extras.  Metrics are plain (name, value) rows,
-    # so per-tenant breakdowns need no schema change — just a naming
-    # convention: ``tenant_<name>_<stat>``.
-    tenants = getattr(result, "tenants", None)
-    if tenants:
-        duration = float(getattr(result, "duration", 0.0))
-        metrics["offered"] = float(result.offered)
-        metrics["shed"] = float(result.shed)
-        metrics["shed_fraction"] = float(result.shed_fraction)
-        metrics["queue_wait_p99"] = float(result.queue_wait_percentile(99))
-        metrics["logical_users"] = float(result.logical_users)
-        for name, stats in sorted(tenants.items()):
-            prefix = f"tenant_{name}_"
-            metrics[prefix + "offered"] = float(stats.offered)
-            metrics[prefix + "shed"] = float(stats.shed)
-            metrics[prefix + "completed"] = float(stats.completed)
-            metrics[prefix + "throughput"] = float(
-                stats.throughput(duration))
-            if stats.latencies.count():
-                metrics[prefix + "p50"] = float(
-                    stats.latencies.percentile(50))
-                metrics[prefix + "p99"] = float(
-                    stats.latencies.percentile(99))
-                metrics[prefix + "queue_wait_p99"] = float(
-                    stats.queue_waits.percentile(99))
-
-    system = getattr(result, "system", None)
-    if system is not None:
-        bp_stats = system.bp.stats
-        metrics["bp_hit_rate"] = float(bp_stats.hit_rate)
-        metrics["ssd_hit_rate"] = float(bp_stats.ssd_hit_rate)
-        manager = system.ssd_manager
-        metrics["ssd_used_frames"] = float(manager.used_frames)
-        metrics["ssd_dirty_frames"] = float(manager.dirty_frames)
-        metrics["ssd_detached"] = float(getattr(manager, "detached", False))
-        metrics["io_retries"] = float(manager.stats.io_retries)
-        metrics["detach_redo_pages"] = float(
-            manager.stats.detach_redo_pages)
-        checkpointer = getattr(system, "checkpointer", None)
-        if checkpointer is not None:
-            metrics["checkpoints_taken"] = float(
-                checkpointer.checkpoints_taken)
-        ftl = getattr(getattr(system, "ssd_device", None), "ftl", None)
-        if ftl is not None:
-            metrics["waf"] = float(ftl.waf)
-            metrics["wear_spread"] = float(ftl.wear_spread)
-            metrics["host_writes"] = float(ftl.stats.host_writes)
-            metrics["nand_writes"] = float(ftl.stats.nand_writes)
-            metrics["erases"] = float(ftl.stats.erases)
-    return getattr(result, "metric_name", "tps"), metrics

@@ -143,7 +143,7 @@ class FlashTranslationLayer:
         """Max minus min per-block erase count (wear-leveling quality)."""
         return max(self._erase_count) - min(self._erase_count)
 
-    def snapshot(self) -> Dict[str, object]:
+    def state(self) -> Dict[str, object]:
         """Full deterministic state, for byte-identical-replay tests."""
         return {
             "mapping": dict(self._mapping),

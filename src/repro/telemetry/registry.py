@@ -3,7 +3,7 @@
 Prometheus-shaped but simulation-native: instruments are plain Python
 objects registered by name, optionally fanned out into *labeled children*
 (``io_pages_total{device="ssd",kind="random_read"}``), and
-:meth:`MetricRegistry.snapshot` renders everything for reports.
+:meth:`MetricRegistry.export` renders everything for reports.
 
 Counters follow Prometheus's *collector* model: a component registers
 each counter once, with a function that reads its own state (the
@@ -47,12 +47,11 @@ class _Reading:
     """An instrument whose value may be read from a callback."""
 
     kind = ""
-    __slots__ = ("name", "labels", "_value", "_fn")
+    __slots__ = ("name", "labels", "_fn")
 
     def __init__(self, name: str, labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.labels = labels or {}
-        self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
 
     def set_function(self, fn: Callable[[], float]) -> None:
@@ -61,8 +60,8 @@ class _Reading:
 
     @property
     def value(self) -> float:
-        """Current value (calls the callback if one is set)."""
-        return float(self._fn()) if self._fn is not None else self._value
+        """Current value: the callback's, or 0 until one is bound."""
+        return float(self._fn()) if self._fn is not None else 0.0
 
 
 class Counter(_Reading):
@@ -77,22 +76,11 @@ class Counter(_Reading):
 
 
 class Gauge(_Reading):
-    """A value that can go up and down, or track a callback."""
+    """A value that can go up and down, read from its owner's state
+    through :meth:`set_function` like a counter."""
 
     kind = "gauge"
     __slots__ = ()
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the gauge."""
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self._value -= amount
 
 
 class Histogram:
@@ -260,7 +248,7 @@ class MetricRegistry:
         """The registered metric (family or bare instrument), or None."""
         return self._metrics.get(name)
 
-    def snapshot(self) -> List[dict]:
+    def export(self) -> List[dict]:
         """Flatten every instrument into report rows.
 
         Each row is ``{"name", "kind", "labels", "value"}`` where
@@ -313,15 +301,6 @@ class NullGauge:
     __slots__ = ()
     name = "null"
     value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
 
     def set_function(self, fn) -> None:
         pass
@@ -383,7 +362,7 @@ class NullRegistry:
     def get(self, name: str):
         return None
 
-    def snapshot(self) -> List[dict]:
+    def export(self) -> List[dict]:
         return []
 
 

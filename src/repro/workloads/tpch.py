@@ -246,11 +246,3 @@ class TpchWorkload:
         procs.append(env.process(refresher()))
         yield env.all_of(procs)
         result.throughput_elapsed = env.now - started
-
-    def full_run(self, system):
-        """Process step: power test then throughput test, as the spec
-        (and the paper) order them.  Returns a :class:`TpchResult`."""
-        result = TpchResult(sf=self.sf)
-        yield from self.power_test(system, result)
-        yield from self.throughput_test(system, result)
-        return result

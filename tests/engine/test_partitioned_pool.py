@@ -18,11 +18,9 @@ import json
 
 import pytest
 
-from repro.harness.experiments import (SCALE_PROFILES, run_oltp_experiment,
-                                       run_traffic_experiment)
+from repro.harness.run import RunSpec, execute
 from repro.telemetry import Telemetry
 
-TINY = SCALE_PROFILES["tiny"]
 
 #: Meta-free trace digests of the pre-refactor (single-heap, unlatched)
 #: buffer pool, profile=tiny scale=20 duration=4 nworkers=4 seed=20110612.
@@ -36,9 +34,10 @@ PINNED_TRACES = {
 
 def _oltp_trace_md5(benchmark, design, checkpoint_interval=None, **kwargs):
     telemetry = Telemetry()
-    run_oltp_experiment(benchmark, 20, design, duration=4.0, profile=TINY,
-                        nworkers=4, checkpoint_interval=checkpoint_interval,
-                        telemetry=telemetry, **kwargs)
+    execute(RunSpec(kind="oltp", benchmark=benchmark, scale=20, design=design,
+                    profile="tiny", duration=4.0, nworkers=4,
+                    checkpoint_interval=checkpoint_interval, **kwargs),
+            telemetry=telemetry)
     payload = "\n".join(
         json.dumps(event.to_dict(), sort_keys=True)
         for event in telemetry.tracer.events
@@ -71,9 +70,9 @@ def test_partitioned_run_is_deterministic_under_fixed_seed():
 
 
 def test_latched_run_records_partition_latch_waits():
-    result = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                                 profile=TINY, nworkers=4,
-                                 partitions=4, latch_us=200.0)
+    result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                             design="LC", profile="tiny", duration=4.0,
+                             nworkers=4, partitions=4, latch_us=200.0))
     stats = result.system.bp.stats
     assert stats.partition_latch_waits > 0
     assert stats.partition_latch_wait_time > 0.0
@@ -87,10 +86,12 @@ def test_latched_run_records_partition_latch_waits():
 def test_latched_throughput_unchanged_by_free_latch():
     """latch_us=0 (the default) must leave results identical to a run
     that never heard of partitioning."""
-    base = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                               profile=TINY, nworkers=4)
-    sharded = run_oltp_experiment("tpcc", 20, "LC", duration=4.0,
-                                  profile=TINY, nworkers=4, partitions=16)
+    base = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                           design="LC", profile="tiny", duration=4.0,
+                           nworkers=4))
+    sharded = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                              design="LC", profile="tiny", duration=4.0,
+                              nworkers=4, partitions=16))
     assert sharded.total_metric_txns == base.total_metric_txns
     assert sharded.system.bp.stats.partition_latch_waits == 0
 
@@ -104,9 +105,11 @@ def test_traffic_per_tenant_p99_strictly_decreases_with_partitions():
     decreasing across --partitions 1/4/16 when latch time is modeled."""
     p99 = {}
     for nparts in (1, 4, 16):
-        result = run_traffic_experiment(
-            "tpcc", 20, "LC", TWO_TENANTS_HOT, duration=8.0, profile=TINY,
-            nworkers=8, queue_limit=200, partitions=nparts, latch_us=200.0)
+        result = execute(RunSpec(kind="traffic", benchmark="tpcc", scale=20,
+                                 design="LC", tenants=TWO_TENANTS_HOT,
+                                 profile="tiny", duration=8.0, nworkers=8,
+                                 queue_limit=200, partitions=nparts,
+                                 latch_us=200.0))
         p99[nparts] = {name: stats.latencies.percentile(99)
                        for name, stats in result.tenants.items()}
     for tenant in ("gold", "noisy"):

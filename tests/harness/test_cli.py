@@ -51,6 +51,20 @@ class TestCommands:
     def test_oltp_rejects_unknown_design(self, capsys):
         assert main(["oltp", "--designs", "WARP"]) == 2
 
+    @pytest.mark.parametrize("command", ["oltp", "traffic", "tpch",
+                                         "sweep", "chaos"])
+    def test_unknown_design_exits_2_before_any_workload(
+            self, command, capsys, monkeypatch):
+        def no_workload(*args, **kwargs):
+            raise AssertionError("a workload was built")
+
+        for target in ("repro.harness.run.make_workload",
+                       "repro.harness.experiments.make_workload",
+                       "repro.harness.crashpoints.crash_point_sweep"):
+            monkeypatch.setattr(target, no_workload)
+        assert main([command, "--designs", "LC,FOO"]) == 2
+        assert "unknown designs: ['FOO']" in capsys.readouterr().err
+
     def test_tpch_runs(self, capsys):
         code = main(["tpch", "--sf", "30", "--profile", "tiny",
                      "--designs", "noSSD"])

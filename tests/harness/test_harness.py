@@ -8,11 +8,11 @@ from repro.harness.experiments import (
     SCALE_PROFILES,
     make_system,
     make_workload,
-    run_oltp_experiment,
     speedup_over_nossd,
 )
 from repro.harness.metrics import Sampler
 from repro.harness.report import format_series, format_speedups, format_table
+from repro.harness.run import RunSpec, execute
 from repro.harness.runner import RunResult, WorkloadRunner
 from repro.harness.system import SystemConfig
 
@@ -62,17 +62,17 @@ class TestScaleProfiles:
 
 class TestRunner:
     def test_run_produces_buckets_and_counts(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=5.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4, bucket_seconds=1.0)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                                 design="noSSD", profile="tiny", duration=5.0,
+                                 nworkers=4, bucket_seconds=1.0))
         assert len(result.buckets) == 5
         assert result.total_metric_txns > 0
         assert result.txn_counts.get("new_order", 0) == result.total_metric_txns
 
     def test_metric_is_tpm_for_tpcc(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=4.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                                 design="noSSD", profile="tiny", duration=4.0,
+                                 nworkers=4))
         series = result.throughput_series()
         # tpmC = per-minute rate: 60x the per-second bucket counts.
         per_second = result.buckets[0] / result.bucket_seconds
@@ -92,9 +92,9 @@ class TestRunner:
         assert smoothed[1][1] == pytest.approx(10.0)
 
     def test_sampler_collects_series(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "LC", duration=5.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=4)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                                 design="LC", profile="tiny", duration=5.0,
+                                 nworkers=4))
         assert len(result.sampler.samples) >= 4
         assert result.sampler.samples[-1].ssd_used >= 0
 
@@ -128,9 +128,9 @@ class TestSampler:
             Sampler(small_system, max_samples=0)
 
     def test_runner_stops_sampler_after_run(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "noSSD", duration=4.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=2)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                                 design="noSSD", profile="tiny", duration=4.0,
+                                 nworkers=2))
         assert not result.sampler.running
         collected = len(result.sampler.samples)
         # Advancing virtual time further must not grow the series.

@@ -3,21 +3,16 @@ qualitative results at test-friendly scale."""
 
 import pytest
 
-from repro.harness.experiments import (
-    SCALE_PROFILES,
-    run_oltp_experiment,
-    run_tpch_experiment,
-    speedup_over_nossd,
-)
-
-PROFILE = SCALE_PROFILES["tiny"]
+from repro.harness.experiments import speedup_over_nossd
+from repro.harness.run import RunSpec, execute
 
 
 def tpcc_throughputs(duration=12.0, designs=("noSSD", "DW", "LC", "TAC")):
     return {
-        design: run_oltp_experiment(
-            "tpcc", 400, design, duration=duration, profile=PROFILE,
-            nworkers=8).steady_state_throughput()
+        design: execute(RunSpec(
+            kind="oltp", benchmark="tpcc", scale=400, design=design,
+            profile="tiny", duration=duration,
+            nworkers=8)).steady_state_throughput()
         for design in designs
     }
 
@@ -45,9 +40,10 @@ class TestTpccOrdering:
 class TestTpceShape:
     def test_designs_are_similar_on_read_intensive(self):
         results = {
-            design: run_oltp_experiment(
-                "tpce", 4, design, duration=12.0, profile=PROFILE,
-                nworkers=8).steady_state_throughput()
+            design: execute(RunSpec(
+                kind="oltp", benchmark="tpce", scale=4, design=design,
+                profile="tiny", duration=12.0,
+                nworkers=8)).steady_state_throughput()
             for design in ("noSSD", "DW", "LC")
         }
         speedups = speedup_over_nossd(results)
@@ -60,7 +56,8 @@ class TestTpceShape:
 class TestTpchShape:
     def test_ssd_helps_and_designs_tie(self):
         results = {
-            design: run_tpch_experiment(30, design, profile=PROFILE)
+            design: execute(RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                                    design=design, profile="tiny"))
             for design in ("noSSD", "DW", "LC")
         }
         assert results["DW"].qphh > results["noSSD"].qphh
@@ -71,23 +68,26 @@ class TestTpchShape:
 
 class TestTacWaste:
     def test_tac_wastes_frames_our_designs_do_not(self):
-        tac = run_oltp_experiment("tpcc", 400, "TAC", duration=10.0,
-                                  profile=PROFILE, nworkers=8)
-        dw = run_oltp_experiment("tpcc", 400, "DW", duration=10.0,
-                                 profile=PROFILE, nworkers=8)
+        tac = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=400,
+                              design="TAC", profile="tiny", duration=10.0,
+                              nworkers=8))
+        dw = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=400,
+                             design="DW", profile="tiny", duration=10.0,
+                             nworkers=8))
         assert tac.system.ssd_manager.table.invalid_count > 0
         assert dw.system.ssd_manager.table.invalid_count == 0
 
 
 class TestRampUp:
     def test_ssd_fills_over_time(self):
-        result = run_oltp_experiment("tpce", 4, "DW", duration=15.0,
-                                     profile=PROFILE, nworkers=8)
+        result = execute(RunSpec(kind="oltp", benchmark="tpce", scale=4,
+                                 design="DW", profile="tiny", duration=15.0,
+                                 nworkers=8))
         samples = result.sampler.samples
         assert samples[0].ssd_used < samples[-1].ssd_used
 
     def test_lc_dirty_fraction_grows_with_lambda_room(self):
-        result = run_oltp_experiment("tpcc", 400, "LC", duration=12.0,
-                                     profile=PROFILE, nworkers=8,
-                                     dirty_threshold=0.9)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=400,
+                                 design="LC", profile="tiny", duration=12.0,
+                                 nworkers=8, dirty_threshold=0.9))
         assert result.system.ssd_manager.dirty_frames > 0

@@ -1,30 +1,36 @@
-"""The parallel sweep runner's on-disk cache: keys, hits, corruption."""
+"""The run record and the parallel sweep runner's on-disk cache: keys,
+hits, corruption, and cached-vs-live / serial-vs-parallel equivalence."""
 
 import json
 
 import pytest
 
+from repro.harness.run import RunRecord, RunSpec, execute
 from repro.harness.sweep import (
-    RunSpec,
     cache_load,
     cache_store,
-    execute,
-    restore,
     run_cached,
     run_sweep,
-    snapshot,
     spec_key,
     summarize,
 )
+from repro.runstore.provenance import Provenance
+from repro.runstore.store import RunStore
 
 SPEC = RunSpec(kind="oltp", benchmark="tpcc", scale=20, design="LC",
                profile="tiny", duration=4.0, nworkers=4)
 
 
 @pytest.fixture(scope="module")
-def live_result():
-    """One shared live run (the slow part happens once per module)."""
-    return execute(SPEC)
+def live():
+    """One shared live run and its record (the slow part happens once
+    per module)."""
+    result = execute(SPEC)
+    return result, RunRecord.of(SPEC, result)
+
+
+def as_json(record):
+    return json.dumps(record.to_dict())
 
 
 class TestSpecKeys:
@@ -43,6 +49,11 @@ class TestSpecKeys:
         ("profile", "small"),
         ("bucket_seconds", 1.0),
         ("benchmark", "tpce"),
+        ("partitions", 16),
+        ("latch_us", 20.0),
+        ("kernel", "wheel"),
+        ("queue_limit", 100),
+        ("faults", "transient:p=0.001"),
     ])
     def test_any_config_field_change_moves_the_key(self, field, value):
         data = SPEC.to_dict()
@@ -58,47 +69,54 @@ class TestSpecKeys:
             RunSpec(kind="oltp", benchmark="tpcc", scale=1, design="LC",
                     profile="gigantic")
 
+    def test_tenants_go_with_traffic_runs_only(self):
+        with pytest.raises(ValueError):
+            RunSpec(kind="traffic", benchmark="tpcc", scale=1, design="LC")
+        with pytest.raises(ValueError):
+            RunSpec(kind="oltp", benchmark="tpcc", scale=1, design="LC",
+                    tenants="a=poisson:rate=1")
+
 
 class TestRoundTrip:
-    def test_hit_returns_bit_identical_metrics(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
-        assert restored.buckets == live_result.buckets
-        assert restored.txn_counts == live_result.txn_counts
+    def test_hit_returns_bit_identical_metrics(self, live, tmp_path):
+        _, record = live
+        cache_store(record, tmp_path)
+        restored = cache_load(SPEC, tmp_path)
+        assert as_json(restored) == as_json(record)
+        assert restored.metrics() == record.metrics()
+        assert restored.throughput_series() == record.throughput_series()
+
+    def test_restored_system_counters_match(self, live, tmp_path):
+        """The record keeps the live system's counters, and the cache
+        gives them back."""
+        result, record = live
+        cache_store(record, tmp_path)
+        restored = cache_load(SPEC, tmp_path)
+        system = result.system
+        manager = system.ssd_manager
+        assert restored.bp.as_dict() == system.bp.stats.as_dict()
+        assert restored.ssd_stats.as_dict() == manager.stats.as_dict()
+        assert restored.ssd["dirty_frames"] == manager.dirty_frames
+        assert (restored.ssd["dirty_limit_frames"]
+                == manager.config.dirty_limit_frames)
+        assert (restored.checkpoints["taken"]
+                == system.checkpointer.checkpoints_taken)
+
+    def test_restored_sampler_and_latencies_work(self, live, tmp_path):
+        result, record = live
+        cache_store(record, tmp_path)
+        restored = cache_load(SPEC, tmp_path)
+        assert restored.fill_time(1) == result.sampler.fill_time(1)
+        assert (restored.dirty_cross_time(0)
+                == result.sampler.dirty_cross_time(0))
+        assert [vars(s) for s in restored.samples] \
+            == [vars(s) for s in result.sampler.samples]
+        assert restored.latencies.summary() == result.latencies.summary()
         assert (restored.steady_state_throughput()
-                == live_result.steady_state_throughput())
-        assert restored.throughput_series() == live_result.throughput_series()
-        # Snapshotting the restored result reproduces the stored bytes.
-        assert (json.dumps(snapshot(restored), sort_keys=True)
-                == json.dumps(snapshot(live_result), sort_keys=True))
+                == result.steady_state_throughput())
 
-    def test_restored_system_counters_match(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
-        live_sys = live_result.system
-        got = restored.system
-        assert got.bp.stats.as_dict() == live_sys.bp.stats.as_dict()
-        assert got.ssd_manager.stats == live_sys.ssd_manager.stats
-        assert got.ssd_manager.dirty_frames == live_sys.ssd_manager.dirty_frames
-        assert (got.ssd_manager.config.dirty_limit_frames
-                == live_sys.ssd_manager.config.dirty_limit_frames)
-        assert (got.checkpointer.checkpoints_taken
-                == live_sys.checkpointer.checkpoints_taken)
-
-    def test_restored_sampler_and_latencies_work(self, live_result,
-                                                 tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
-        assert (restored.sampler.fill_time(1)
-                == live_result.sampler.fill_time(1))
-        assert (restored.sampler.dirty_cross_time(0)
-                == live_result.sampler.dirty_cross_time(0))
-        assert [vars(s) for s in restored.sampler.samples] \
-            == [vars(s) for s in live_result.sampler.samples]
-        assert restored.latencies.summary() == live_result.latencies.summary()
-
-    def test_config_change_is_a_miss(self, live_result, tmp_path):
-        cache_store(SPEC, snapshot(live_result), tmp_path)
+    def test_config_change_is_a_miss(self, live, tmp_path):
+        cache_store(live[1], tmp_path)
         other = RunSpec.from_dict({**SPEC.to_dict(), "seed": 999})
         assert cache_load(other, tmp_path) is None
 
@@ -107,21 +125,18 @@ class TestCorruption:
     def test_missing_cache_dir_is_a_miss(self, tmp_path):
         assert cache_load(SPEC, tmp_path / "nope") is None
 
-    def test_truncated_file_recomputes_not_crashes(self, live_result,
-                                                   tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
+    def test_truncated_file_recomputes_not_crashes(self, live, tmp_path):
+        path = cache_store(live[1], tmp_path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         assert cache_load(SPEC, tmp_path) is None
 
-    def test_garbage_file_recomputes_not_crashes(self, live_result,
-                                                 tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
+    def test_garbage_file_recomputes_not_crashes(self, live, tmp_path):
+        path = cache_store(live[1], tmp_path)
         path.write_text("not json at all {{{")
         assert cache_load(SPEC, tmp_path) is None
 
-    def test_wrong_structure_recomputes_not_crashes(self, live_result,
-                                                    tmp_path):
-        path = cache_store(SPEC, snapshot(live_result), tmp_path)
+    def test_wrong_structure_recomputes_not_crashes(self, live, tmp_path):
+        path = cache_store(live[1], tmp_path)
         path.write_text(json.dumps({"snapshot": {"kind": "martian"}}))
         assert cache_load(SPEC, tmp_path) is None
         path.write_text(json.dumps({"unexpected": 1}))
@@ -136,8 +151,59 @@ class TestCorruption:
         path.write_text("corrupted")
         second = run_cached(spec, tmp_path)  # recomputes silently
         assert second.buckets == first.buckets
-        # And the cache file was rewritten with a valid snapshot.
+        # And the cache file was rewritten with a valid record.
         assert cache_load(spec, tmp_path) is not None
+
+
+#: One spec per run shape the cache must reproduce exactly.
+EQUIVALENCE_MATRIX = {
+    "oltp-LC": SPEC,
+    "traffic-2tenants-16parts-latched": RunSpec(
+        kind="traffic", benchmark="tpcc", scale=20, design="LC",
+        profile="tiny", duration=2.0, nworkers=8, queue_limit=200,
+        partitions=16, latch_us=20.0,
+        tenants=("gold=poisson:rate=40:theta=0.6;"
+                 "noisy=bursty:rate=30:burst=10:theta=0.99")),
+    "oltp-DW-ssd-death": RunSpec(
+        kind="oltp", benchmark="tpcc", scale=20, design="DW",
+        profile="tiny", duration=6.0, nworkers=4,
+        faults="ssd_die@t=3,transient:p=0.0005"),
+    "tpch-tiny": RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                         design="LC", profile="tiny"),
+}
+
+PROV = Provenance(git_commit="deadbeef00", source_hash="cafe")
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_MATRIX))
+def test_cache_hit_record_equals_live_record(name, tmp_path):
+    """A cache hit gives the live run's record byte for byte, and both
+    flatten to the same run-store metric rows."""
+    spec = EQUIVALENCE_MATRIX[name]
+    live_run = run_sweep([spec], directory=tmp_path)
+    hit = run_sweep([spec], directory=tmp_path)
+    assert (live_run.computed, hit.cached) == (1, 1)
+    live_record, hit_record = live_run.results[spec], hit.results[spec]
+    assert as_json(hit_record) == as_json(live_record)
+    with RunStore(tmp_path / "runs.db") as store:
+        ids = [store.record_result(record, provenance=PROV)
+               for record in (live_record, hit_record)]
+        rows = [store.get_run(run_id) for run_id in ids]
+    assert rows[0][1] == rows[1][1]
+    assert rows[0][0]["spec_json"] == rows[1][0]["spec_json"]
+    assert json.loads(rows[0][0]["spec_json"]) == spec.to_dict()
+
+
+def test_parallel_sweep_records_equal_serial(tmp_path):
+    specs = [RunSpec(kind="oltp", benchmark="tpcc", scale=10, design=design,
+                     profile="tiny", duration=2.0, nworkers=2)
+             for design in ("noSSD", "LC")]
+    serial = run_sweep(specs, workers=1, use_cache=False)
+    parallel = run_sweep(specs, workers=2, use_cache=False)
+    assert parallel.computed == 2
+    for spec in specs:
+        assert as_json(parallel.results[spec]) == as_json(
+            serial.results[spec])
 
 
 class TestSweep:
@@ -176,27 +242,18 @@ class TestSweep:
 
 
 class TestSnapshotFaultFields:
-    def test_detached_defaults_false_and_round_trips(self, live_result,
-                                                     tmp_path):
-        snap = snapshot(live_result)
-        assert snap["ssd"]["detached"] is False
-        cache_store(SPEC, snap, tmp_path)
-        restored = restore(cache_load(SPEC, tmp_path))
-        assert restored.system.ssd_manager.detached is False
+    def test_detached_defaults_false_and_round_trips(self, live, tmp_path):
+        _, record = live
+        assert record.ssd["detached"] is False
+        cache_store(record, tmp_path)
+        assert cache_load(SPEC, tmp_path).ssd["detached"] is False
 
-    def test_detached_true_survives_restore(self, live_result, tmp_path):
-        snap = snapshot(live_result)
-        snap["ssd"]["detached"] = True
-        restored = restore(snap)
-        assert restored.system.ssd_manager.detached is True
-
-    def test_old_snapshot_without_field_restores(self, live_result):
-        """Pre-v2 snapshots (no ``detached`` key) must still restore —
-        the version bump invalidates caches, but restore stays lenient."""
-        snap = snapshot(live_result)
-        del snap["ssd"]["detached"]
-        restored = restore(snap)
-        assert restored.system.ssd_manager.detached is False
+    def test_detached_true_survives_restore(self, live):
+        data = live[1].to_dict()
+        data["ssd"] = {**data["ssd"], "detached": True}
+        restored = RunRecord.from_dict(json.loads(json.dumps(data)))
+        assert restored.ssd["detached"] is True
+        assert restored.metrics()["ssd_detached"] == 1.0
 
 
 class TestSweepRecording:
@@ -208,8 +265,6 @@ class TestSweepRecording:
         ]
 
     def test_live_and_cached_runs_record_alike(self, tmp_path):
-        from repro.runstore.store import RunStore
-
         with RunStore(tmp_path / "runs.db") as store:
             first = run_sweep(self.specs(), workers=1, directory=tmp_path,
                               store=store)
@@ -233,7 +288,7 @@ class TestSweepRecording:
         class ExplodingStore:
             path = "exploding.db"
 
-            def record_result(self, spec, result, provenance=None):
+            def record_result(self, record, provenance=None):
                 from repro.runstore.store import StoreError
                 raise StoreError("disk on fire")
 

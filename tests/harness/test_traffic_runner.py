@@ -10,10 +10,10 @@ import json
 
 import pytest
 
-from repro.harness import (OpenLoopRunner, RunResult, WorkloadRunner,
-                           run_oltp_experiment, run_traffic_experiment)
+from repro.harness import OpenLoopRunner, RunResult, WorkloadRunner
 from repro.harness.experiments import (SCALE_PROFILES, make_system,
                                        make_workload)
+from repro.harness.run import RunRecord, RunSpec, execute
 from repro.runstore.store import RunStore
 from repro.telemetry import Telemetry
 from repro.workloads.traffic import parse_tenants
@@ -24,12 +24,17 @@ TWO_TENANTS = ("gold=poisson:rate=40:theta=0.6;"
                "noisy=bursty:rate=30:burst=10:theta=0.99")
 
 
-def _traffic(design="LC", kernel="heap", duration=8.0, queue_limit=200,
-             nworkers=8, tenants=TWO_TENANTS, **kwargs):
-    return run_traffic_experiment(
-        "tpcc", 20, design, tenants, duration=duration, profile=TINY,
-        nworkers=nworkers, queue_limit=queue_limit, bucket_seconds=2.0,
-        kernel=kernel, **kwargs)
+def _spec(design="LC", kernel="heap", duration=8.0, queue_limit=200,
+          nworkers=8, tenants=TWO_TENANTS, **kwargs):
+    return RunSpec(kind="traffic", benchmark="tpcc", scale=20,
+                   design=design, tenants=tenants, profile="tiny",
+                   duration=duration, nworkers=nworkers,
+                   queue_limit=queue_limit, bucket_seconds=2.0,
+                   kernel=kernel, **kwargs)
+
+
+def _traffic(**kwargs):
+    return execute(_spec(**kwargs))
 
 
 def test_open_loop_run_reports_per_tenant_stats():
@@ -90,8 +95,10 @@ def test_million_logical_users_bounded_run_records_per_tenant(tmp_path):
             "batch=bursty:users=400000:think=200:burst=8:theta=0.95")
     with RunStore(tmp_path / "runs.db") as store:
         for design in ("DW", "LC"):
-            result = _traffic(design=design, tenants=spec, duration=1.0,
-                              nworkers=48, queue_limit=5000, store=store)
+            run = _spec(design=design, tenants=spec, duration=1.0,
+                        nworkers=48, queue_limit=5000)
+            result = execute(run)
+            store.record_result(RunRecord.of(run, result))
             assert result.logical_users == pytest.approx(1_200_000.0)
             # 12k arrivals/s offered through only 48 workers.
             assert result.offered > 5_000
@@ -130,11 +137,14 @@ def test_open_loop_runner_validation():
 
 def _traced_oltp_md5(kernel="heap"):
     telemetry = Telemetry()
-    run_oltp_experiment("tpcc", 20, "LC", duration=4.0, profile=TINY,
-                        nworkers=4, kernel=kernel, telemetry=telemetry)
+    execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20, design="LC",
+                    profile="tiny", duration=4.0, nworkers=4, kernel=kernel),
+            telemetry=telemetry)
+    # Meta-free: the run_meta instant records the spec, kernel included.
     payload = "\n".join(
         json.dumps(event.to_dict(), sort_keys=True)
-        for event in telemetry.tracer.events)
+        for event in telemetry.tracer.events
+        if event.to_dict().get("cat") != "meta")
     return hashlib.md5(payload.encode()).hexdigest()
 
 

@@ -104,7 +104,7 @@ class TestQueries:
         with RunStore(db_path()) as store:
             store.record_run(
                 {"kind": "oltp", "benchmark": "tpcc", "scale": 100,
-                 "design": "LC", "profile": "small"},
+                 "design": "LC", "profile": "small", "seed": 7},
                 {"value": 100.0, "latency_p99": 0.5},
                 provenance=Provenance(git_commit="deadbeef00"))
         assert main(["runs", "regress"]) == 1

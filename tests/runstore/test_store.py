@@ -5,8 +5,10 @@ from typing import Optional
 
 import pytest
 
+from repro.harness.run import RunRecord, RunSpec
 from repro.runstore.provenance import Provenance
-from repro.runstore.store import RunStore, metrics_from_result
+from repro.runstore.store import RunStore
+from repro.workloads.tpch import TpchResult
 
 PROV = Provenance(git_commit="deadbeef00", git_branch="main",
                   git_dirty=False, source_hash="cafe", host="test",
@@ -191,49 +193,41 @@ class TestRegress:
         assert groups == 2
         assert {f.design for f in findings} == {"LC"}
 
-
-class FakeLatencies:
-    def count(self):
-        return 4
-
-    def summary(self):
-        return {"mean": 0.02, "p50": 0.01, "p95": 0.03, "p99": 0.05}
-
-
-class FakeOltpResult:
-    metric_name = "tpmC"
-    total_metric_txns = 500
-    latencies = FakeLatencies()
-
-    def steady_state_throughput(self):
-        return 1234.0
-
-
-class FakeTpchResult:
-    qphh = 900.0
-    power = 1000.0
-    throughput = 810.0
+    def test_groups_are_whole_specs(self, store):
+        """A short faulted run is not a regression of the long clean
+        runs of the same design and scale: only runs of one spec are
+        compared."""
+        clean = RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                        design="LC", profile="small", duration=60.0)
+        faulted = RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                          design="LC", profile="small", duration=6.0,
+                          faults="ssd_die@t=3,transient:p=0.0005")
+        for _ in range(3):
+            store.record_run(clean.to_dict(), {"value": 1000.0},
+                             provenance=PROV)
+        store.record_run(faulted.to_dict(), {"value": 500.0},
+                         provenance=PROV)
+        findings, groups = store.regress()
+        assert findings == []
+        assert groups == 2
+        latest = store.record_run(clean.to_dict(), {"value": 500.0},
+                                  provenance=PROV)
+        findings, _ = store.regress()
+        assert [(f.run_id, f.metric, f.ratio) for f in findings] == [
+            (latest, "value", 0.5)]
 
 
 class TestMetricsFromResult:
-    def test_oltp_duck_typing(self):
-        name, metrics = metrics_from_result(FakeOltpResult())
-        assert name == "tpmC"
-        assert metrics["value"] == 1234.0
-        assert metrics["latency_p99"] == 0.05
-        assert "waf" not in metrics  # no system attached
-
-    def test_tpch_duck_typing(self):
-        name, metrics = metrics_from_result(FakeTpchResult())
-        assert name == "QphH"
-        assert metrics == {"value": 900.0, "power": 1000.0,
-                           "throughput": 810.0}
-
     def test_record_result_uses_extraction(self, store):
-        run_id = store.record_result(
-            {"kind": "oltp", "benchmark": "tpcc", "scale": 10,
-             "design": "LC", "profile": "tiny"},
-            FakeOltpResult(), provenance=PROV)
+        spec = RunSpec(kind="tpch", benchmark="tpch", scale=30,
+                       design="LC", profile="tiny")
+        record = RunRecord(spec=spec, metric_name="QphH", tpch=TpchResult(
+            sf=30, query_times={1: 2.0, 2: 8.0}, rf_times=[1.0],
+            power_elapsed=11.0, throughput_elapsed=40.0, streams=2))
+        run_id = store.record_result(record, provenance=PROV)
         run, metrics = store.get_run(run_id)
-        assert run["metric_name"] == "tpmC"
-        assert metrics["value"] == 1234.0
+        assert run["metric_name"] == "QphH"
+        assert run["kind"] == "tpch" and run["scale"] == 30
+        assert metrics == {"value": record.tpch.qphh,
+                           "power": record.tpch.power,
+                           "throughput": record.tpch.throughput}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.run import RunSpec, execute
 from repro.sim import Environment
 from repro.storage import HddArray, IoKind, IORequest, Ssd
 from repro.storage.device import TrafficRecorder
@@ -164,9 +164,10 @@ class TestStats:
         once counted 10 logical requests where the array's stats counted
         45 per-disk I/Os."""
         telemetry = Telemetry()
-        result = run_oltp_experiment(
-            "tpcc", 20, "LC", duration=4.0, profile=SCALE_PROFILES["tiny"],
-            nworkers=8, checkpoint_interval=1.0, telemetry=telemetry)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                                 design="LC", profile="tiny", duration=4.0,
+                                 nworkers=8, checkpoint_interval=1.0),
+                         telemetry=telemetry)
         stats = result.system.data_device.stats
         requests = telemetry.registry.get("io_requests_total").labels(
             device="hdd-array", kind="sequential_write")

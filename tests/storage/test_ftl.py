@@ -171,7 +171,7 @@ class TestDeterminism:
                     ftl.trim(lpn)
                 else:
                     ftl.host_write(lpn)
-            return ftl.snapshot()
+            return ftl.state()
 
         assert run() == run()
 

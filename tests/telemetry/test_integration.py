@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.run import RunSpec, execute
 from repro.storage.device import KIND_LABELS
 from repro.telemetry import Telemetry
 
@@ -18,10 +18,10 @@ from repro.telemetry import Telemetry
 @pytest.fixture(scope="module")
 def traced_run():
     telemetry = Telemetry()
-    result = run_oltp_experiment(
-        "tpcc", 100, "LC", duration=5.0,
-        profile=SCALE_PROFILES["tiny"], nworkers=4,
-        dirty_threshold=0.01, telemetry=telemetry)
+    result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                             design="LC", profile="tiny", duration=5.0,
+                             nworkers=4, dirty_threshold=0.01),
+                     telemetry=telemetry)
     return telemetry, result
 
 
@@ -67,10 +67,11 @@ MATRIX_FAULTS = ("transient:p=0.002,transient:p=0.03:device=ssd,"
 
 def _matrix_run(design):
     telemetry = Telemetry()
-    result = run_oltp_experiment(
-        "tpcc", 20, design, duration=4.0, profile=SCALE_PROFILES["tiny"],
-        nworkers=8, faults=MATRIX_FAULTS, telemetry=telemetry,
-        **MATRIX[design])
+    result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                             design=design, profile="tiny", duration=4.0,
+                             nworkers=8, faults=MATRIX_FAULTS,
+                             **MATRIX[design]),
+                     telemetry=telemetry)
     return telemetry, result
 
 
@@ -170,7 +171,7 @@ class TestMetricsAgreeWithStats:
     def test_counters_equal_stats(self, design):
         telemetry, result = _matrix_run(design)
         system = result.system
-        counters = [row for row in telemetry.registry.snapshot()
+        counters = [row for row in telemetry.registry.export()
                     if row["kind"] == "counter"]
         names = {row["name"] for row in counters}
         assert names >= {"bp_requests_total", "io_requests_total",
@@ -243,10 +244,10 @@ class TestAttributionCoverage:
 
 class TestDisabledRunStaysDark:
     def test_no_registry_rows_without_telemetry(self):
-        result = run_oltp_experiment(
-            "tpcc", 100, "LC", duration=2.0,
-            profile=SCALE_PROFILES["tiny"], nworkers=2)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=100,
+                                 design="LC", profile="tiny", duration=2.0,
+                                 nworkers=2))
         telemetry = result.system.telemetry
         assert telemetry.enabled is False
-        assert telemetry.registry.snapshot() == []
+        assert telemetry.registry.export() == []
         assert telemetry.tracer.events == ()

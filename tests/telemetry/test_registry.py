@@ -41,13 +41,6 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = MetricRegistry().gauge("g")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7
-
     def test_callback_tracks_source(self):
         state = {"n": 0}
         gauge = MetricRegistry().gauge("g")
@@ -108,7 +101,7 @@ class TestRegistration:
         registry.histogram("h").observe(1.0)
         family = registry.counter("f", labelnames=("x",))
         family.labels(x="1").set_function(lambda: 1)
-        rows = registry.snapshot()
+        rows = registry.export()
         by_name = {}
         for row in rows:
             by_name.setdefault(row["name"], []).append(row)
@@ -168,11 +161,10 @@ class TestNullRegistry:
     def test_mutators_record_nothing(self):
         NULL_COUNTER.set_function(lambda: 100)
         NULL_COUNTER.collect(lambda: {("x",): 100})
-        NULL_GAUGE.set(5)
         NULL_GAUGE.set_function(lambda: 9)
         NULL_HISTOGRAM.observe(3.0)
         assert NULL_COUNTER.value == 0.0
         assert NULL_GAUGE.value == 0.0
         assert NULL_HISTOGRAM.count == 0
         assert math.isnan(NULL_HISTOGRAM.percentile(50))
-        assert NULL_REGISTRY.snapshot() == []
+        assert NULL_REGISTRY.export() == []

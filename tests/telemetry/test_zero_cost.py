@@ -11,7 +11,7 @@ export and histograms are pushed only when telemetry is on, so after
 construction an untraced run makes no registry call at all.
 """
 
-from repro.harness.experiments import SCALE_PROFILES, run_oltp_experiment
+from repro.harness.run import RunSpec, execute
 
 
 class CountingNullTracer:
@@ -92,9 +92,10 @@ class CountingNullTelemetry:
 
 def test_untraced_run_never_calls_the_tracer():
     telemetry = CountingNullTelemetry()
-    result = run_oltp_experiment(
-        "tpcc", 20, "LC", duration=4.0, profile=SCALE_PROFILES["tiny"],
-        nworkers=8, checkpoint_interval=1.0, telemetry=telemetry)
+    result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                             design="LC", profile="tiny", duration=4.0,
+                             nworkers=8, checkpoint_interval=1.0),
+                     telemetry=telemetry)
     # The run did real work (transactions committed, pages cleaned)...
     assert result.total_metric_txns > 0
     assert result.system.bp.stats.misses > 0
@@ -105,9 +106,9 @@ def test_untraced_run_never_calls_the_tracer():
 
 def test_untraced_tac_and_faultless_paths_silent():
     telemetry = CountingNullTelemetry()
-    run_oltp_experiment(
-        "tpce", 2, "TAC", duration=4.0, profile=SCALE_PROFILES["tiny"],
-        nworkers=8, telemetry=telemetry)
+    execute(RunSpec(kind="oltp", benchmark="tpce", scale=2, design="TAC",
+                    profile="tiny", duration=4.0, nworkers=8),
+            telemetry=telemetry)
     assert telemetry.tracer.calls == []
 
 
@@ -117,10 +118,10 @@ def test_untraced_run_makes_no_registry_calls_after_construction():
     calls = {}
     for duration in (1.0, 4.0):
         telemetry = CountingNullTelemetry()
-        result = run_oltp_experiment(
-            "tpcc", 20, "LC", duration=duration,
-            profile=SCALE_PROFILES["tiny"], nworkers=8,
-            checkpoint_interval=1.0, telemetry=telemetry)
+        result = execute(RunSpec(kind="oltp", benchmark="tpcc", scale=20,
+                                 design="LC", profile="tiny",
+                                 duration=duration, nworkers=8,
+                                 checkpoint_interval=1.0), telemetry=telemetry)
         assert result.total_metric_txns > 0
         calls[duration] = telemetry.registry.calls
     assert {method for _, method in calls[4.0]} <= REGISTRATION
